@@ -1,6 +1,4 @@
-//! The `momsim` command-line front end, and the shared argument parsing of
-//! the thin report binaries (`fig4`, `fig5`, `tables`, `ablations`,
-//! `sweep`).
+//! The `momsim` command-line front end.
 //!
 //! One binary runs any experiment:
 //!
@@ -15,8 +13,8 @@
 //! Axis values are parsed with the `FromStr` implementations of
 //! [`KernelId`], [`IsaKind`] and [`MemoryModel`], so a typo produces an
 //! error listing the valid names instead of a panic.  All parsing returns
-//! [`Result`]; the binaries map errors to exit status 2 (usage) or 1
-//! (runtime failure).
+//! [`Result`]; `momsim` maps errors to exit status 2 (usage) or 1 (runtime
+//! failure).
 
 use crate::json::Json;
 use crate::spec::{find_experiment, registry, ExperimentError, ExperimentSpec};
@@ -77,31 +75,6 @@ fn finish(result: Result<(), CliError>) -> i32 {
     }
 }
 
-/// Parses the `--json PATH` option shared by the report binaries from an
-/// argument iterator (without the program name).
-///
-/// Unlike the former per-binary copies, bad arguments are returned as
-/// [`CliError::Usage`] values instead of terminating the process.
-pub fn json_path_arg(args: impl IntoIterator<Item = String>) -> Result<Option<PathBuf>, CliError> {
-    let mut path = None;
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" if path.is_none() => match args.next() {
-                Some(p) => path = Some(PathBuf::from(p)),
-                None => return Err(CliError::Usage("--json needs a path argument".into())),
-            },
-            "--json" => return Err(CliError::Usage("--json given twice".into())),
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown argument {other} (expected --json PATH)"
-                )))
-            }
-        }
-    }
-    Ok(path)
-}
-
 fn write_report(path: &Path, doc: &Json) -> Result<(), CliError> {
     std::fs::write(path, doc.pretty())
         .map_err(|e| CliError::Io(format!("cannot write {}: {e}", path.display())))?;
@@ -120,40 +93,8 @@ fn run_registered(name: &str, json: Option<PathBuf>, jobs: Option<usize>) -> Res
     Ok(())
 }
 
-/// Entry point of the thin report aliases (`fig4`, `fig5`, `tables`): runs
-/// the named registered experiment with the shared `--json PATH` option and
-/// returns the process exit code.
-pub fn alias_main(name: &str) -> i32 {
-    finish(
-        json_path_arg(std::env::args().skip(1)).and_then(|json| run_registered(name, json, None)),
-    )
-}
-
-/// Entry point of the `ablations` alias: runs both registered ablations
-/// (`--json PATH` writes one document holding both series) and returns the
-/// process exit code.
-pub fn ablations_main() -> i32 {
-    finish((|| {
-        let json = json_path_arg(std::env::args().skip(1))?;
-        let lanes = find_experiment("ablation-lanes")
-            .map_err(CliError::Usage)?
-            .run()?;
-        let rob = find_experiment("ablation-rob")
-            .map_err(CliError::Usage)?
-            .run()?;
-        print!("{}", lanes.text());
-        println!();
-        print!("{}", rob.text());
-        if let Some(path) = json {
-            let series = [("ablation-lanes", lanes), ("ablation-rob", rob)];
-            write_report(&path, &ablations_doc(&series))?;
-        }
-        Ok(())
-    })())
-}
-
-/// The combined document of the registered ablation series (what the
-/// `ablations` alias and `BENCH_ablations.json` hold, and what the daemon's
+/// The combined document of the registered ablation series (what
+/// `BENCH_ablations.json` holds, and what the daemon's
 /// `GET /reports/ablations` replays): one top-level key per series, named
 /// by the experiment with its `ablation-` prefix stripped (`lanes`, `rob`,
 /// ...).
@@ -341,9 +282,9 @@ pub fn sweep_documents(jobs: Option<usize>) -> Result<Vec<(&'static str, Json, u
     // *other* registered experiment (the application scenario layer, the
     // ablations, anything registered later) runs on its own — all of them
     // replaying the same memoised functional traces, so no kernel executes
-    // functionally more than once.  `jobs` picks the schedule: `None` fans
-    // out per (kernel, ISA) pair, `Some(n)` shards individual grid points
-    // over `n` threads; both emit byte-identical documents.
+    // functionally more than once.  `jobs` sets the worker threads the
+    // (kernel, ISA) pair groups run on (`None`: one per core); every count
+    // emits byte-identical documents.
     let results = {
         let _span = mom_obs::span("sweep", "union-grids");
         full_sweep_with_jobs(jobs)?
@@ -433,20 +374,6 @@ fn sweep_args(
     Ok((out_dir, jobs))
 }
 
-/// Entry point of the `sweep` alias: regenerates every `BENCH_*.json` from
-/// one shared grid run and returns the process exit code.
-pub fn sweep_main() -> i32 {
-    finish((|| {
-        let mut args: Vec<String> = std::env::args().skip(1).collect();
-        configure_store(extract_store_args(&mut args)?)?;
-        let obs = extract_obs_args(&mut args)?;
-        configure_obs(&obs);
-        let (dir, jobs) = sweep_args(args)?;
-        run_sweep(&dir, jobs)?;
-        finish_obs(&obs)
-    })())
-}
-
 const USAGE: &str = "\
 momsim — declarative experiment runner for the MOM (SC'99) reproduction
 
@@ -478,9 +405,9 @@ USAGE:
       BENCH_ablations.json, with every kernel executed functionally at most
       once (shared trace cache). Finished grid points persist in the
       artifact store, so a repeated sweep is incremental: unchanged points
-      are read back instead of re-simulated. --jobs N shards individual
-      grid points over N worker threads; the reports are byte-identical at
-      any worker count.
+      are read back instead of re-simulated. --jobs N runs the (kernel, ISA)
+      pair batches on N worker threads (default: one per core); the reports
+      are byte-identical at any worker count.
   momsim bench [--quick] [--json PATH] [--check PATH]
       Measure engine throughput (optimized vs the retained naive reference),
       the wall time of the full registered-experiment set, and the sampled
@@ -919,23 +846,6 @@ mod tests {
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn json_path_parsing_returns_errors_not_exits() {
-        assert_eq!(json_path_arg(strs(&[])).unwrap(), None);
-        assert_eq!(
-            json_path_arg(strs(&["--json", "out.json"])).unwrap(),
-            Some(PathBuf::from("out.json"))
-        );
-        for bad in [
-            strs(&["--json"]),
-            strs(&["--json", "a", "--json", "b"]),
-            strs(&["--frobnicate"]),
-        ] {
-            let err = json_path_arg(bad).unwrap_err();
-            assert_eq!(err.exit_code(), 2, "{err}");
-        }
     }
 
     #[test]

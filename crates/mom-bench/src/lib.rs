@@ -24,21 +24,23 @@
 //!   the number of multimedia lanes and the reorder-buffer size.
 //!
 //! The runner is built on the workspace's **streaming architecture**: one
-//! functional run of a kernel drives a [`PipelineFanout`] over every machine
-//! configuration of the experiment, so a grid executes each (kernel, ISA)
-//! pair exactly once, and the pairs run concurrently on a thread pool
-//! ([`sweep`]).  Every report is available both as an aligned text table
-//! and as a machine-readable JSON document ([`Report::text`] /
-//! [`Report::json`]) for `BENCH_fig4.json`-style perf tracking.
+//! functional run of a kernel drives a [`mom_pipeline::PipelineFanout`] over
+//! every machine configuration of the experiment, so a grid executes each
+//! (kernel, ISA) pair exactly once.  [`schedule::compute_group`] is that
+//! pair batch, store-fronted, and the only code that simulates a grid
+//! point: grids run their pairs concurrently on a thread pool ([`sweep`]),
+//! and the `momsim serve` daemon computes the same groups.  Every report is
+//! available both as an aligned text table and as a machine-readable JSON
+//! document ([`Report::text`] / [`Report::json`]) for `BENCH_fig4.json`-style
+//! perf tracking.
 //!
 //! The **`momsim`** binary ([`cli`]) is the front end: `momsim list` shows
 //! the registered experiments and axes, `momsim run fig5 --json PATH` runs
-//! a registered spec, and `momsim run --kernels idct,motion1 --isas mom,mdmx
+//! a registered spec, `momsim run --kernels idct,motion1 --isas mom,mdmx
 //! --widths 1,2,4,8 --memory l1l2` assembles an ad-hoc grid from named axis
-//! values.  The `fig4`, `fig5`, `tables`, `ablations` and `sweep` binaries
-//! are thin aliases over the same code paths, and the Criterion benches
-//! under `benches/` wrap the same drivers so `cargo bench` regenerates
-//! every figure and table.
+//! values, and `momsim sweep` regenerates every `BENCH_*.json`.  The
+//! Criterion benches under `benches/` wrap the same drivers so `cargo bench`
+//! regenerates every figure and table.
 
 #![warn(missing_docs)]
 
@@ -58,9 +60,7 @@ use json::Json;
 use mom_arch::TraceStats;
 use mom_isa::IsaKind;
 use mom_kernels::{shared_kernel_run, KernelError, KernelId};
-use mom_pipeline::{
-    MemoryModel, PipelineConfig, PipelineFanout, SampledFanout, SamplingConfig, SimResult,
-};
+use mom_pipeline::{MemoryModel, PipelineConfig, SimResult};
 
 /// Seed used by every experiment (the workloads are deterministic).
 pub const EXPERIMENT_SEED: u64 = 0x5C99;
@@ -71,9 +71,9 @@ pub const EXPERIMENT_SEED: u64 = 0x5C99;
 pub const STEADY_STATE_INSTRUCTIONS: usize = 4000;
 
 /// Minimum number of complete measurement intervals a stream must be
-/// able to hold before [`simulate_configs_sampled`] actually
-/// fast-forwards; shorter streams (a few long invocations) run fully
-/// detailed and report exact timing.
+/// able to hold before a sampled grid ([`ExperimentSpec::sampling`])
+/// actually fast-forwards; shorter streams (a few long invocations) run
+/// fully detailed and report exact timing.
 pub const MIN_SAMPLED_INTERVALS: u64 = 3;
 
 /// Number of invocations needed for a kernel whose single invocation
@@ -168,13 +168,9 @@ pub fn simulate_configs(
 /// [`simulate_configs`] with an explicit steady-state target: the kernel
 /// invocation is replicated until the measured stream is at least
 /// `replication` instructions long (the [`ExperimentSpec::replication`]
-/// axis).
-///
-/// The functional run comes from the process-wide trace cache
-/// ([`shared_kernel_run`]): each (kernel, ISA, seed) triple is executed and
-/// verified once, and every experiment replays the memoised
-/// single-invocation trace **by reference** — one `Copy` per retired entry
-/// into the fan-out, no per-replication re-clone of the trace.
+/// axis).  One [`schedule::compute_group`] over the pair's configurations:
+/// stored points are read back, the missing ones share one fan-out of the
+/// memoised functional trace.
 pub fn simulate_configs_replicated(
     kernel: KernelId,
     isa: IsaKind,
@@ -182,208 +178,18 @@ pub fn simulate_configs_replicated(
     seed: u64,
     replication: usize,
 ) -> Result<Vec<ExperimentPoint>, KernelError> {
-    simulate_configs_stored(kernel, isa, configs, seed, replication, None)
-}
-
-fn simulate_configs_replicated_uncached(
-    kernel: KernelId,
-    isa: IsaKind,
-    configs: &[PipelineConfig],
-    seed: u64,
-    replication: usize,
-) -> Result<Vec<ExperimentPoint>, KernelError> {
-    let run = shared_kernel_run(kernel, isa, seed)?;
-    let invocations = invocations_for(replication, run.trace.len());
-
-    let mut stats = TraceStats::default();
-    let mut fanout = PipelineFanout::new(configs.iter().cloned());
-    let mut sinks = (&mut stats, &mut fanout);
-    run.trace.replay_into(invocations, &mut sinks);
-
-    let results = fanout.finish();
-    Ok(results
-        .into_iter()
-        .zip(configs)
-        .map(|(result, config)| ExperimentPoint {
+    let jobs: Vec<schedule::PointJob> = configs
+        .iter()
+        .map(|config| schedule::PointJob {
             kernel,
             isa,
-            width: config.width,
-            mem_latency: config.memory.base_latency(),
-            memory: config.memory.label(),
-            invocations,
-            result,
-            stats,
+            config: config.clone(),
+            seed,
+            replication,
+            sampling: None,
         })
-        .collect())
-}
-
-/// The persistent-store front shared by the exact and sampled grid drivers:
-/// every requested configuration is first looked up in the result store
-/// ([`store::result_key`]); only the **missing** configurations are fanned
-/// out over the stream, and their fresh points are written back.  With a
-/// fully warm store no functional execution and no timing simulation
-/// happens at all.  Subsetting the fan-out is sound because consumers are
-/// independent (lockstep batching is a performance device, and a sampled
-/// run's schedule derives from the sampling config and the stream alone,
-/// not from the consumer set).
-fn simulate_configs_stored(
-    kernel: KernelId,
-    isa: IsaKind,
-    configs: &[PipelineConfig],
-    seed: u64,
-    replication: usize,
-    sampling: Option<SamplingConfig>,
-) -> Result<Vec<ExperimentPoint>, KernelError> {
-    let uncached = |subset: &[PipelineConfig]| match sampling {
-        None => simulate_configs_replicated_uncached(kernel, isa, subset, seed, replication),
-        Some(schedule) => {
-            simulate_configs_sampled_uncached(kernel, isa, subset, seed, replication, schedule)
-        }
-    };
-    let persistent = mom_store::global();
-    if !persistent.is_active() {
-        return uncached(configs);
-    }
-    let keys: Vec<mom_store::Key> = configs
-        .iter()
-        .map(|config| store::result_key(kernel, isa, seed, config, replication, sampling))
         .collect();
-    let mut points: Vec<Option<ExperimentPoint>> = keys
-        .iter()
-        .zip(configs)
-        .map(|(&key, config)| stored_point_lookup(kernel, isa, config, key))
-        .collect();
-    let missing: Vec<usize> = points
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.is_none())
-        .map(|(i, _)| i)
-        .collect();
-    if !missing.is_empty() {
-        let subset: Vec<PipelineConfig> = missing.iter().map(|&i| configs[i].clone()).collect();
-        let _span = mom_obs::span_fmt("simulate", || {
-            format!("simulate {kernel:?}/{isa:?} x{}", subset.len())
-        });
-        let fresh = uncached(&subset)?;
-        for (&index, point) in missing.iter().zip(fresh) {
-            persistent.put(
-                mom_store::NS_RESULT,
-                keys[index],
-                store::encode_point(&point),
-            );
-            points[index] = Some(point);
-        }
-    }
-    Ok(points
-        .into_iter()
-        .map(|p| p.expect("every grid slot is filled"))
-        .collect())
-}
-
-/// Looks one finished grid point up in the persistent store — **no** fill
-/// path, no functional run, no simulation.  `None` when the store is
-/// inactive, the blob is missing or damaged, or the decoded point does not
-/// describe exactly this coordinate (a hash collision would be the only
-/// path to the latter).  Shared by [`simulate_configs_stored`] and the
-/// submit-time dedup of [`schedule::PointJob::cached`].
-pub(crate) fn stored_point_lookup(
-    kernel: KernelId,
-    isa: IsaKind,
-    config: &PipelineConfig,
-    key: mom_store::Key,
-) -> Option<ExperimentPoint> {
-    let persistent = mom_store::global();
-    if !persistent.is_active() {
-        return None;
-    }
-    let decoded = persistent
-        .get(mom_store::NS_RESULT, key)
-        .and_then(|bytes| store::decode_point(&bytes).ok())?;
-    (decoded.kernel == kernel
-        && decoded.isa == isa
-        && decoded.width == config.width
-        && decoded.memory == config.memory.label())
-    .then_some(decoded)
-}
-
-/// [`simulate_configs_replicated`] with **systematic sampling**: the stream
-/// is timed by a [`SampledFanout`] that simulates detailed intervals and
-/// fast-forwards (cache model only) between them, so each point's
-/// [`SimResult`] carries an extrapolated cycle count and a confidence
-/// interval in [`SimResult::sampled`] instead of an exact timing.
-///
-/// Architectural counters (instructions, operations, cache hit/miss) stay
-/// exact; all consumers share the schedule, so the per-configuration
-/// estimates cover the same stream positions and remain directly
-/// comparable.
-///
-/// The requested schedule is [aligned](SamplingConfig::aligned_to) to the
-/// kernel's invocation length, and a stream too short to hold
-/// [`MIN_SAMPLED_INTERVALS`] measurement intervals is run fully detailed
-/// instead (its points then report the exact cycle count with a
-/// zero-width interval): a couple of long invocations have nothing worth
-/// skipping, and extrapolating from a single measurement dominated by the
-/// cold-start head of the stream is exactly the bias sampling must avoid.
-pub fn simulate_configs_sampled(
-    kernel: KernelId,
-    isa: IsaKind,
-    configs: &[PipelineConfig],
-    seed: u64,
-    replication: usize,
-    sampling: SamplingConfig,
-) -> Result<Vec<ExperimentPoint>, KernelError> {
-    simulate_configs_stored(kernel, isa, configs, seed, replication, Some(sampling))
-}
-
-fn simulate_configs_sampled_uncached(
-    kernel: KernelId,
-    isa: IsaKind,
-    configs: &[PipelineConfig],
-    seed: u64,
-    replication: usize,
-    sampling: SamplingConfig,
-) -> Result<Vec<ExperimentPoint>, KernelError> {
-    let run = shared_kernel_run(kernel, isa, seed)?;
-    let invocations = invocations_for(replication, run.trace.len());
-    // Align the schedule to whole invocations: the stream is one kernel
-    // invocation replayed, and invocation-aligned intervals measure whole
-    // loop iterations at a fixed phase instead of aliasing against it.
-    let entries = run.trace.len() as u64;
-    let total = entries * invocations as u64;
-    let mut sampling = sampling.aligned_to(entries);
-    // Completing k measurement intervals takes (k - 1) periods plus one
-    // final warm-up + detailed span; streams that cannot hold
-    // MIN_SAMPLED_INTERVALS of them run fully detailed instead.
-    let min_stream =
-        (MIN_SAMPLED_INTERVALS - 1) * sampling.period() + sampling.warmup + sampling.detailed;
-    if total < min_stream {
-        sampling = SamplingConfig {
-            detailed: total,
-            fastforward: sampling.fastforward,
-            warmup: 0,
-        };
-    }
-
-    let mut stats = TraceStats::default();
-    let mut fanout = SampledFanout::new(configs.iter().cloned(), sampling);
-    let mut sinks = (&mut stats, &mut fanout);
-    run.trace.replay_into(invocations, &mut sinks);
-
-    let results = fanout.finish();
-    Ok(results
-        .into_iter()
-        .zip(configs)
-        .map(|(result, config)| ExperimentPoint {
-            kernel,
-            isa,
-            width: config.width,
-            mem_latency: config.memory.base_latency(),
-            memory: config.memory.label(),
-            invocations,
-            result,
-            stats,
-        })
-        .collect())
+    schedule::compute_group(&jobs)
 }
 
 /// Simulates one kernel/ISA pair on a core of the given width and memory
@@ -467,11 +273,10 @@ pub fn full_sweep() -> Result<SweepResults, ExperimentError> {
     full_sweep_with_jobs(None)
 }
 
-/// [`full_sweep`] with an explicit worker count: `Some(n)` schedules the
-/// union grid **point by point** over `n` threads through [`schedule`] (the
-/// same unit of work the `momsim serve` daemon shards), instead of the
-/// default (kernel, ISA)-pair fan-out.  Results are identical either way —
-/// `momsim sweep --jobs N` is byte-identical to the single-threaded sweep.
+/// [`full_sweep`] on an explicit number of worker threads (`None`: one per
+/// core, see [`ExperimentSpec::run_with_jobs`]).  The thread count only
+/// changes how the (kernel, ISA) pair groups interleave, so
+/// `momsim sweep --jobs N` is byte-identical at every `N`.
 pub fn full_sweep_with_jobs(jobs: Option<usize>) -> Result<SweepResults, ExperimentError> {
     let grid = union_spec().run_with_jobs(jobs)?;
     Ok(SweepResults {

@@ -15,11 +15,9 @@
 //! (cache sizes, ROB depths, lane counts, new kernels) is a one-line
 //! scenario description instead of a new driver binary.
 
-use crate::sweep::parallel_map;
-use crate::{
-    simulate_configs_replicated, simulate_configs_sampled, ExperimentPoint, Report,
-    EXPERIMENT_SEED, FIG4_WIDTHS, STEADY_STATE_INSTRUCTIONS,
-};
+use crate::schedule::{self, PointJob};
+use crate::sweep::{parallel_map_with, worker_count};
+use crate::{ExperimentPoint, Report, EXPERIMENT_SEED, FIG4_WIDTHS, STEADY_STATE_INSTRUCTIONS};
 use mom_isa::IsaKind;
 use mom_kernels::{KernelError, KernelId};
 use mom_pipeline::{MemoryModel, PipelineConfig, SamplingConfig};
@@ -137,48 +135,22 @@ impl ExperimentSpec {
         self.run_with_jobs(None)
     }
 
-    /// [`run`](ExperimentSpec::run) with an explicit worker count:
-    /// `Some(n)` schedules the grid **point by point** over `n` threads
-    /// through [`crate::schedule`] — the same unit of work the
-    /// `momsim serve` daemon shards — instead of the default (kernel,
-    /// ISA)-pair fan-out.  Per-point timing equals fanned-out timing
-    /// (consumers are independent) and the shared functional trace cache
-    /// keeps each pair's functional run from repeating, so both schedules
-    /// produce identical grids at any thread count.
+    /// [`run`](ExperimentSpec::run) on an explicit number of worker
+    /// threads (`None`: [`worker_count`], one per core).  The grid is
+    /// planned point by point ([`schedule::plan`]) and split into its
+    /// (kernel, ISA) pairs — contiguous, because configurations vary
+    /// fastest — and each pair is one [`schedule::compute_group`], the same
+    /// unit the `momsim serve` workers compute.  The thread count only
+    /// changes how pairs interleave, so every count yields the same grid.
     pub fn run_with_jobs(&self, jobs: Option<usize>) -> Result<GridResult, ExperimentError> {
         self.validate().map_err(ExperimentError::Spec)?;
-        let points = match jobs {
-            Some(threads) => crate::schedule::run_points(crate::schedule::plan(self), threads)?,
-            None => {
-                let pairs: Vec<(KernelId, IsaKind)> = self
-                    .kernels
-                    .iter()
-                    .flat_map(|&k| self.isas.iter().map(move |&i| (k, i)))
-                    .collect();
-                let measured = parallel_map(pairs, |(kernel, isa)| match self.sampling {
-                    Some(sampling) => simulate_configs_sampled(
-                        kernel,
-                        isa,
-                        &self.configs,
-                        self.seed,
-                        self.replication,
-                        sampling,
-                    ),
-                    None => simulate_configs_replicated(
-                        kernel,
-                        isa,
-                        &self.configs,
-                        self.seed,
-                        self.replication,
-                    ),
-                });
-                let mut points = Vec::with_capacity(self.points());
-                for pair_points in measured {
-                    points.extend(pair_points?);
-                }
-                points
-            }
-        };
+        let planned = schedule::plan(self);
+        let pairs: Vec<&[PointJob]> = planned.chunks(self.configs.len()).collect();
+        let threads = jobs.unwrap_or_else(|| worker_count(pairs.len()));
+        let mut points = Vec::with_capacity(planned.len());
+        for pair_points in parallel_map_with(pairs, threads, schedule::compute_group) {
+            points.extend(pair_points?);
+        }
         Ok(GridResult {
             spec: self.clone(),
             points,

@@ -148,10 +148,29 @@ pub fn result_key_versioned(
     replication: usize,
     sampling: Option<SamplingConfig>,
 ) -> Key {
+    result_key_for_trace(
+        engine_version,
+        trace_content_key(kernel, isa, seed),
+        config,
+        replication,
+        sampling,
+    )
+}
+
+/// [`result_key_versioned`] from the stream's already computed trace
+/// content key: the points of one (kernel, ISA, seed) pair share it, so a
+/// pair batch hashes the program once instead of once per configuration.
+pub(crate) fn result_key_for_trace(
+    engine_version: u32,
+    trace: Key,
+    config: &PipelineConfig,
+    replication: usize,
+    sampling: Option<SamplingConfig>,
+) -> Key {
     let mut h = Hasher::new();
     h.write_str("momsim result");
     h.write_u32(engine_version);
-    h.write_key(trace_content_key(kernel, isa, seed));
+    h.write_key(trace);
     config_fingerprint(&mut h, config);
     h.write_usize(replication);
     match sampling {
@@ -627,6 +646,29 @@ mod tests {
             ),
         ] {
             assert_ne!(base, different);
+        }
+    }
+
+    #[test]
+    fn a_shared_trace_key_yields_the_same_result_keys() {
+        // compute_group hashes the pair's trace key once and derives every
+        // point's key from it; those keys must be the PointJob keys the
+        // daemon dedups against and the stores already hold.
+        let trace = trace_content_key(KernelId::Idct, IsaKind::Mom, EXPERIMENT_SEED);
+        for config in [PipelineConfig::way(2), PipelineConfig::default()] {
+            for sampling in [None, Some(SamplingConfig::DEFAULT)] {
+                assert_eq!(
+                    result_key_for_trace(ENGINE_VERSION, trace, &config, 4000, sampling),
+                    result_key(
+                        KernelId::Idct,
+                        IsaKind::Mom,
+                        EXPERIMENT_SEED,
+                        &config,
+                        4000,
+                        sampling
+                    )
+                );
+            }
         }
     }
 

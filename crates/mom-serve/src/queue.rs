@@ -1,13 +1,19 @@
 //! The deduplicating job queue and its worker pool.
 //!
-//! The unit of scheduling is one content-addressed [`WorkUnit`] — a single
-//! grid point ([`mom_bench::schedule::PointJob`]) or the composite
+//! The unit of dedup is one content-addressed [`WorkUnit`] — a single grid
+//! point ([`mom_bench::schedule::PointJob`]) or the composite
 //! application-speedup scenario.  Submissions subscribe to units by key:
 //! a point already in the store is answered at submit time without
 //! touching the pool, a point another job is already computing is shared
 //! rather than recomputed, and only genuinely new points enter the queue.
-//! Workers drain the queue through the same store-fronted fill paths the
-//! batch sweep uses, so every computed unit lands in the persistent store.
+//!
+//! The unit of compute is the pair batch the sweep uses: a worker claims the
+//! head unit together with every other queued point of the same (kernel,
+//! ISA, seed, replication, sampling) pair, whichever job queued it, and
+//! computes them as one supervised [`mom_bench::schedule::compute_group`] —
+//! one helper thread, one deadline, one retry budget.  Each point is then
+//! settled on its own key (status, journal record, share of the compute
+//! time), and every computed point lands in the persistent store.
 //!
 //! Lock discipline: the queue lock may be held while reading the store
 //! (submit-time dedup), and the store's internal locks are never held
@@ -132,52 +138,71 @@ impl WorkUnit {
         }
     }
 
-    /// Computes the unit through the store-fronted fill path, classifying
-    /// any failure as transient (worth a retry) or permanent.
-    pub fn compute(&self) -> Result<UnitResult, ComputeError> {
-        match self {
-            WorkUnit::Point(job) => job
-                .compute()
-                .map(|p| UnitResult::Point(Box::new(p)))
-                .map_err(|e| ComputeError {
-                    // Execution faults can be environmental (an injected
-                    // fault, a torn store write); program validation and
-                    // output mismatches are deterministic.
-                    transient: matches!(e, KernelError::Exec { .. }),
-                    message: e.to_string(),
-                }),
-            WorkUnit::Apps {
-                config,
-                seed,
-                frames,
-            } => store::stored_app_speedups(config, *seed, *frames)
-                .map(UnitResult::Apps)
-                .map_err(|e| ComputeError {
-                    transient: matches!(
-                        &e,
-                        mom_apps::AppError::Phase {
-                            source: KernelError::Exec { .. },
-                            ..
-                        }
-                    ),
-                    message: e.to_string(),
-                }),
+    /// Whether `other` can be computed in one group with this unit: both
+    /// are grid points of the same pair ([`PointJob::same_pair`]).  An
+    /// `Apps` unit always runs alone.
+    fn batches_with(&self, other: &WorkUnit) -> bool {
+        match (self, other) {
+            (WorkUnit::Point(a), WorkUnit::Point(b)) => a.same_pair(b),
+            _ => false,
         }
     }
 
     /// Human-readable coordinates for failure messages
-    /// (`kernel/isa/wayN` for a grid point).
+    /// (`kernel/isa/wayN/memory` for a grid point, e.g.
+    /// `addblock/mom/way4/50`).
     pub fn describe(&self) -> String {
         match self {
-            WorkUnit::Point(job) => format!(
-                "{}/{}/way{}",
-                job.kernel.name(),
-                job.isa.name(),
-                job.config.width
-            ),
+            WorkUnit::Point(job) => job.describe(),
             WorkUnit::Apps { .. } => "app-speedups".to_string(),
         }
     }
+}
+
+/// Computes one claimed group — a single `Apps` unit, or grid points of one
+/// pair as one [`schedule::compute_group`] — through the store-fronted fill
+/// path, classifying any failure as transient (worth a retry) or permanent.
+fn compute_units(units: &[WorkUnit]) -> Result<Vec<UnitResult>, ComputeError> {
+    if let [WorkUnit::Apps {
+        config,
+        seed,
+        frames,
+    }] = units
+    {
+        return store::stored_app_speedups(config, *seed, *frames)
+            .map(|table| vec![UnitResult::Apps(table)])
+            .map_err(|e| ComputeError {
+                transient: matches!(
+                    &e,
+                    mom_apps::AppError::Phase {
+                        source: KernelError::Exec { .. },
+                        ..
+                    }
+                ),
+                message: e.to_string(),
+            });
+    }
+    let jobs: Vec<PointJob> = units
+        .iter()
+        .map(|unit| match unit {
+            WorkUnit::Point(job) => (**job).clone(),
+            WorkUnit::Apps { .. } => unreachable!("an apps unit is claimed alone"),
+        })
+        .collect();
+    schedule::compute_group(&jobs)
+        .map(|points| {
+            points
+                .into_iter()
+                .map(|point| UnitResult::Point(Box::new(point)))
+                .collect()
+        })
+        .map_err(|e| ComputeError {
+            // Execution faults can be environmental (an injected fault, a
+            // torn store write); program validation and output mismatches
+            // are deterministic.
+            transient: matches!(e, KernelError::Exec { .. }),
+            message: e.to_string(),
+        })
 }
 
 /// Why one unit compute attempt failed, and whether retrying can help.
@@ -821,92 +846,157 @@ impl Daemon {
     }
 
     fn worker_loop(&self) {
-        loop {
-            let (key, payload) = {
-                let mut guard = self.state.lock().expect("queue state");
-                loop {
-                    let state = &mut *guard;
-                    let mut claimed = None;
-                    while let Some(key) = state.queue.pop_front() {
-                        let wanted = state.units.get(&key).is_some_and(|unit| {
-                            matches!(unit.status, UnitStatus::Queued)
-                                && state.subscriber_alive(unit)
-                        });
-                        if wanted {
-                            claimed = Some(key);
-                            break;
-                        }
-                        // Nobody wants it any more: forget the unit.
-                        state.units.remove(&key);
-                    }
-                    if let Some(key) = claimed {
-                        let unit = state.units.get_mut(&key).expect("claimed unit");
-                        unit.status = UnitStatus::Running;
-                        unit.wait_nanos = unit.enqueued_at.map(elapsed_nanos).unwrap_or(0);
-                        let payload = unit.payload.clone();
-                        state.running += 1;
-                        break (key, payload);
-                    }
-                    if state.shutting_down {
-                        return;
-                    }
-                    guard = self.work.wait(guard).expect("queue state");
-                }
-            };
+        while let Some((keys, units)) = self.claim() {
             // Compute with no lock held; the fill path writes the store.
+            let head = keys[0];
             let compute_start = Instant::now();
-            let result = {
-                let _span = mom_obs::span_fmt("job", || format!("compute {}", key.to_hex()));
-                self.supervise(key, &payload)
+            let outcome = {
+                let _span = mom_obs::span_fmt("job", || {
+                    format!("compute {} x{}", head.to_hex(), units.len())
+                });
+                self.supervise(head, &units)
             };
-            let compute_elapsed = compute_start.elapsed();
-            compute_seconds_histogram().observe(compute_elapsed);
-            if result.is_ok() {
-                // The payload is in the store; journal the completion so a
-                // crash before the job finishes recovers it for free.
-                if let Some(journal) = self.journal() {
-                    journal.append(&Record::UnitDone { key });
-                }
-            }
-            let mut guard = self.state.lock().expect("queue state");
-            let state = &mut *guard;
-            let touch = state.next_touch();
-            if let Some(unit) = state.units.get_mut(&key) {
-                unit.compute_nanos = u64::try_from(compute_elapsed.as_nanos()).unwrap_or(u64::MAX);
-                unit.last_touch = touch;
-                unit.status = match result {
-                    Ok(result) => UnitStatus::Done(Arc::new(result)),
-                    Err(message) => UnitStatus::Failed(message),
-                };
-            }
-            state.running -= 1;
-            let finished = state.record_finished_jobs();
-            state.evict_done(self.retain_done);
-            self.journal_job_ends(&finished);
-            self.idle.notify_all();
+            self.settle(&keys, &units, outcome, elapsed_nanos(compute_start));
         }
     }
 
-    /// Runs one unit under supervision: each attempt computes on a helper
-    /// thread (so a watchdog deadline can abandon a stuck unit) under
-    /// `catch_unwind` (so a panic — real or injected — is an error, not a
-    /// dead worker).  Transient failures are retried up to the policy's
-    /// limit with decorrelated-jitter backoff; the final error message
-    /// carries the unit's coordinates and the attempt count.
-    fn supervise(&self, key: mom_store::Key, payload: &WorkUnit) -> Result<UnitResult, String> {
+    /// Blocks until the queue holds a unit some live job still wants, then
+    /// claims it together with every other such queued unit that
+    /// [batches with](WorkUnit::batches_with) it, whichever job queued it,
+    /// and marks them running.  `None` once the daemon drains.
+    fn claim(&self) -> Option<(Vec<mom_store::Key>, Vec<WorkUnit>)> {
+        let mut guard = self.state.lock().expect("queue state");
+        loop {
+            let state = &mut *guard;
+            let wanted = |state: &State, unit: &Unit| {
+                matches!(unit.status, UnitStatus::Queued) && state.subscriber_alive(unit)
+            };
+            let mut head = None;
+            while let Some(key) = state.queue.pop_front() {
+                if state
+                    .units
+                    .get(&key)
+                    .is_some_and(|unit| wanted(state, unit))
+                {
+                    head = Some(key);
+                    break;
+                }
+                // Nobody wants it any more: forget the unit.
+                state.units.remove(&key);
+            }
+            if let Some(head) = head {
+                let queue = std::mem::take(&mut state.queue);
+                let lead = &state.units[&head].payload;
+                let (mates, rest): (VecDeque<_>, VecDeque<_>) =
+                    queue.into_iter().partition(|key| {
+                        state.units.get(key).is_some_and(|unit| {
+                            unit.payload.batches_with(lead) && wanted(state, unit)
+                        })
+                    });
+                state.queue = rest;
+                let keys: Vec<mom_store::Key> = std::iter::once(head).chain(mates).collect();
+                let units = keys
+                    .iter()
+                    .map(|key| {
+                        let unit = state.units.get_mut(key).expect("claimed unit");
+                        unit.status = UnitStatus::Running;
+                        unit.wait_nanos = unit.enqueued_at.map(elapsed_nanos).unwrap_or(0);
+                        unit.payload.clone()
+                    })
+                    .collect();
+                state.running += 1;
+                return Some((keys, units));
+            }
+            if state.shutting_down {
+                return None;
+            }
+            guard = self.work.wait(guard).expect("queue state");
+        }
+    }
+
+    /// Settles a computed group point by point: each unit gets its own
+    /// status (a failure names the unit's own coordinates), its own
+    /// journalled `UnitDone`, and an equal share of the group's compute
+    /// time, so a job's `simulate_nanos` still sums to real wall time.
+    fn settle(
+        &self,
+        keys: &[mom_store::Key],
+        units: &[WorkUnit],
+        outcome: Result<Vec<UnitResult>, String>,
+        compute_nanos: u64,
+    ) {
+        let count = keys.len() as u64;
+        let share = |index: usize| {
+            compute_nanos / count + u64::from((index as u64) < compute_nanos % count)
+        };
+        let statuses: Vec<UnitStatus> = match outcome {
+            Ok(results) => {
+                // The payloads are in the store; journal the completions so
+                // a crash before the job finishes recovers them for free.
+                if let Some(journal) = self.journal() {
+                    for &key in keys {
+                        journal.append(&Record::UnitDone { key });
+                    }
+                }
+                results
+                    .into_iter()
+                    .map(|result| UnitStatus::Done(Arc::new(result)))
+                    .collect()
+            }
+            Err(failure) => units
+                .iter()
+                .map(|unit| UnitStatus::Failed(format!("{}: {failure}", unit.describe())))
+                .collect(),
+        };
+        let mut guard = self.state.lock().expect("queue state");
+        let state = &mut *guard;
+        for (index, (key, status)) in keys.iter().zip(statuses).enumerate() {
+            let nanos = share(index);
+            compute_seconds_histogram().observe(Duration::from_nanos(nanos));
+            let touch = state.next_touch();
+            if let Some(unit) = state.units.get_mut(key) {
+                unit.compute_nanos = nanos;
+                unit.last_touch = touch;
+                unit.status = status;
+            }
+        }
+        state.running -= 1;
+        let finished = state.record_finished_jobs();
+        state.evict_done(self.retain_done);
+        self.journal_job_ends(&finished);
+        self.idle.notify_all();
+    }
+
+    /// Runs one claimed group under supervision: each attempt computes on a
+    /// helper thread (so a watchdog deadline can abandon a stuck group)
+    /// under `catch_unwind` (so a panic — real or injected — is an error,
+    /// not a dead worker).  Transient failures are retried up to the
+    /// policy's limit with decorrelated-jitter backoff; the final error
+    /// carries the cause and the attempt count, and [`Daemon::settle`]
+    /// prefixes each unit's coordinates.
+    fn supervise(
+        &self,
+        head: mom_store::Key,
+        units: &[WorkUnit],
+    ) -> Result<Vec<UnitResult>, String> {
         let policy = self.supervision;
         let mut backoff = policy.backoff;
         let mut attempt = 0u32;
         loop {
-            let error = match attempt_unit(payload, policy.deadline) {
-                Ok(result) => {
+            let error = match attempt_group(units, policy.deadline) {
+                Ok(results) => {
                     if attempt > 0 {
                         mom_obs::log::info(
                             "worker",
-                            &format!("unit {} recovered on attempt {}", key.to_hex(), attempt + 1),
+                            &format!(
+                                "group {} ({} units) recovered on attempt {}",
+                                head.to_hex(),
+                                units.len(),
+                                attempt + 1
+                            ),
                         );
                     }
-                    return Ok(result);
+                    return Ok(results);
                 }
                 Err(error) => error,
             };
@@ -914,8 +1004,7 @@ impl Daemon {
                 let attempts = attempt + 1;
                 let plural = if attempts == 1 { "" } else { "s" };
                 return Err(format!(
-                    "{}: {} (after {attempts} attempt{plural})",
-                    payload.describe(),
+                    "{} (after {attempts} attempt{plural})",
                     error.message
                 ));
             }
@@ -923,14 +1012,15 @@ impl Daemon {
             mom_obs::log::warn(
                 "worker",
                 &format!(
-                    "unit {} attempt {} failed transiently: {}; retrying",
-                    key.to_hex(),
+                    "group {} ({} units) attempt {} failed transiently: {}; retrying",
+                    head.to_hex(),
+                    units.len(),
                     attempt + 1,
                     error.message
                 ),
             );
             backoff =
-                decorrelated_jitter(policy.backoff, backoff, policy.backoff_cap, key, attempt);
+                decorrelated_jitter(policy.backoff, backoff, policy.backoff_cap, head, attempt);
             std::thread::sleep(backoff);
             attempt += 1;
         }
@@ -1100,13 +1190,13 @@ impl Daemon {
     }
 }
 
-/// One supervised compute attempt: run on a helper thread so the caller
-/// can enforce a deadline, with `catch_unwind` turning a panic into a
-/// transient [`ComputeError`].  The fault plane's worker sites fire here,
-/// inside the unwind boundary, so injected panics exercise exactly the
-/// recovery path a real one would.
-fn attempt_unit(payload: &WorkUnit, deadline: Duration) -> Result<UnitResult, ComputeError> {
-    let unit = payload.clone();
+/// One supervised compute attempt of a claimed group: run on a helper
+/// thread so the caller can enforce a deadline, with `catch_unwind` turning
+/// a panic into a transient [`ComputeError`].  The fault plane's worker
+/// sites fire here, once per attempt, inside the unwind boundary, so
+/// injected panics exercise exactly the recovery path a real one would.
+fn attempt_group(units: &[WorkUnit], deadline: Duration) -> Result<Vec<UnitResult>, ComputeError> {
+    let units = units.to_vec();
     let (tx, rx) = mpsc::channel();
     let handle = match std::thread::Builder::new()
         .name("mom-serve-compute".to_string())
@@ -1114,7 +1204,7 @@ fn attempt_unit(payload: &WorkUnit, deadline: Duration) -> Result<UnitResult, Co
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 faults::maybe_delay(FaultSite::WorkerDelay);
                 faults::maybe_panic(FaultSite::WorkerPanic);
-                unit.compute()
+                compute_units(&units)
             }));
             let _ = tx.send(outcome);
         }) {

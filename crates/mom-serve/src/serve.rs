@@ -200,12 +200,18 @@ fn accept_loop(
                 let daemon = Arc::clone(&daemon);
                 let stop = Arc::clone(&stop);
                 connections.retain(|handle| !handle.is_finished());
-                connections.push(
-                    std::thread::Builder::new()
-                        .name("mom-serve-conn".to_string())
-                        .spawn(move || handle_connection(stream, &daemon, &stop, read_timeout))
-                        .expect("spawn connection handler"),
-                );
+                // A failed spawn (thread exhaustion) drops this connection
+                // with its closure; the listener keeps accepting.
+                match std::thread::Builder::new()
+                    .name("mom-serve-conn".to_string())
+                    .spawn(move || handle_connection(stream, &daemon, &stop, read_timeout))
+                {
+                    Ok(handle) => connections.push(handle),
+                    Err(e) => mom_obs::log::warn(
+                        "serve",
+                        &format!("cannot spawn a connection handler, dropping the connection: {e}"),
+                    ),
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
@@ -507,14 +513,7 @@ fn first_missing_point(experiment: &str) -> Option<String> {
         Some(spec) => mom_bench::schedule::plan(&spec)
             .iter()
             .find(|job| job.cached().is_none())
-            .map(|job| {
-                format!(
-                    "missing {}/{}/way{}",
-                    job.kernel.name(),
-                    job.isa.name(),
-                    job.config.width
-                )
-            }),
+            .map(|job| format!("missing {}", job.describe())),
         None => {
             let stored = mom_bench::store::cached_app_speedups(
                 &mom_apps::reference_config(),

@@ -11,7 +11,7 @@
 use mom_bench::ExperimentSpec;
 use mom_isa::IsaKind;
 use mom_kernels::KernelId;
-use mom_pipeline::PipelineConfig;
+use mom_pipeline::{MemoryModel, PipelineConfig};
 use mom_serve::client::{request_json_with, RetryPolicy};
 use mom_serve::journal::{self, Journal, Record};
 use mom_serve::queue::{JobState, Supervision};
@@ -119,6 +119,64 @@ fn exhausted_retries_fail_the_job_with_unit_coordinates() {
         error.contains("after 4 attempts") && error.contains("panicked"),
         "the error shows the attempt count and cause: {error}"
     );
+    daemon.shutdown();
+    daemon.join_workers();
+}
+
+#[test]
+fn one_attempt_covers_a_pair_group_and_each_failure_names_its_point() {
+    let _serial = serial();
+    private_store_dir();
+
+    // Every attempt panics and nothing is retried, so the number of
+    // injected panics is the number of compute attempts.  The four 4-way
+    // memory points of one (kernel, ISA) pair — Figure 5's column — are
+    // queued together; no other test stores any of them.
+    faults::install(FaultPlan::new(24).with_site(FaultSite::WorkerPanic, 1.0, None));
+    let supervision = Supervision {
+        retries: 0,
+        ..fast_supervision()
+    };
+    let daemon = Daemon::with_options(1, 4, 64, supervision);
+    let memories = [
+        MemoryModel::PERFECT,
+        MemoryModel::L2,
+        MemoryModel::MAIN_MEMORY,
+        MemoryModel::CACHE,
+    ];
+    let request = JobRequest::Grid {
+        label: "memory-column".to_string(),
+        spec: ExperimentSpec {
+            configs: memories
+                .iter()
+                .map(|&memory| PipelineConfig::way_with_memory(4, memory))
+                .collect(),
+            ..spec(&[4])
+        },
+    };
+    let outcome = daemon.submit(request).unwrap();
+    assert_eq!(outcome.scheduled, 4, "all four points are computed");
+    let snapshot = daemon.wait(outcome.job).expect("job exists");
+    let injected = faults::injected_count(FaultSite::WorkerPanic);
+    faults::clear();
+
+    assert_eq!(snapshot.state, JobState::Failed);
+    assert_eq!(injected, 1, "one attempt computes the whole pair group");
+    assert_eq!(snapshot.errors.len(), 4, "every point fails on its own key");
+    for (error, memory) in snapshot.errors.iter().zip(memories) {
+        let coordinates = format!(
+            "{}/{}/way4/{}: ",
+            KernelId::AddBlock.name(),
+            IsaKind::Mom.name(),
+            memory.label()
+        );
+        assert!(
+            error.starts_with(&coordinates) && error.contains("after 1 attempt)"),
+            "the error names its own point {coordinates:?}: {error}"
+        );
+    }
+    let distinct: std::collections::BTreeSet<&String> = snapshot.errors.iter().collect();
+    assert_eq!(distinct.len(), 4, "errors: {:?}", snapshot.errors);
     daemon.shutdown();
     daemon.join_workers();
 }
