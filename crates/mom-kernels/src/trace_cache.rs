@@ -74,17 +74,34 @@ fn table() -> &'static Table {
     TABLE.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
+/// The hasher state after the program-dependent prefix of
+/// `(kernel, isa)`'s trace key — `"momsim trace"`, the disassembled
+/// program text, the kernel name and the ISA name.  Building and
+/// disassembling the program dominates a key's cost, so each of the
+/// 9 × 4 prefixes is computed once per process; seeds never add entries.
+fn program_prefix(kernel: KernelId, isa: IsaKind) -> &'static Hasher {
+    const ISAS: usize = IsaKind::ALL.len();
+    static PREFIXES: [OnceLock<Hasher>; KernelId::ALL.len() * ISAS] =
+        [const { OnceLock::new() }; KernelId::ALL.len() * ISAS];
+    PREFIXES[kernel as usize * ISAS + isa as usize].get_or_init(|| {
+        let mut h = Hasher::new();
+        h.write_str("momsim trace");
+        h.write_str(&mom_isa::disassemble(&kernel.program(isa)));
+        h.write_str(kernel.name());
+        h.write_str(&isa.to_string());
+        h
+    })
+}
+
 /// The content hash addressing `(kernel, isa, seed)`'s trace in the
 /// persistent store: disassembled program text, kernel name, ISA name,
 /// seed, and the workload-layout fingerprint.  Pure — computing it never
-/// executes the kernel.
+/// executes the kernel.  The program-dependent prefix is memoised per
+/// (kernel, ISA), so a key costs one hasher clone plus the seed and
+/// fingerprint bytes; the keys are byte-identical to hashing everything
+/// from scratch.
 pub fn trace_content_key(kernel: KernelId, isa: IsaKind, seed: u64) -> Key {
-    let program = kernel.program(isa);
-    let mut h = Hasher::new();
-    h.write_str("momsim trace");
-    h.write_str(&mom_isa::disassemble(&program));
-    h.write_str(kernel.name());
-    h.write_str(&isa.to_string());
+    let mut h = program_prefix(kernel, isa).clone();
     h.write_u64(seed);
     layout::fingerprint(&mut h);
     h.finish()
@@ -294,6 +311,64 @@ mod tests {
         assert_ne!(base, trace_content_key(KernelId::Idct, IsaKind::Mmx, 7));
         assert_ne!(base, trace_content_key(KernelId::Motion1, IsaKind::Mom, 7));
         assert_ne!(base, trace_content_key(KernelId::Idct, IsaKind::Mom, 8));
+    }
+
+    /// The key as the pre-memo code computed it: everything from scratch.
+    fn key_from_scratch(kernel: KernelId, isa: IsaKind, seed: u64) -> Key {
+        let mut h = Hasher::new();
+        h.write_str("momsim trace");
+        h.write_str(&mom_isa::disassemble(&kernel.program(isa)));
+        h.write_str(kernel.name());
+        h.write_str(&isa.to_string());
+        h.write_u64(seed);
+        layout::fingerprint(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn memoised_keys_are_byte_identical_to_from_scratch_keys() {
+        // Pinned keys: a change here orphans every persisted trace.
+        for (kernel, isa, seed, hex) in [
+            (
+                KernelId::Idct,
+                IsaKind::Mom,
+                0x5C99,
+                "13f7e9ff90d1ad43456b9b5e4ce370b0",
+            ),
+            (
+                KernelId::Motion1,
+                IsaKind::Alpha,
+                1,
+                "cbca69cd6f0f7f01665086adfdc009bb",
+            ),
+            (
+                KernelId::LtpFilt,
+                IsaKind::Mdmx,
+                u64::MAX,
+                "a456a8b482f7f46a4175788d8c0b6610",
+            ),
+        ] {
+            assert_eq!(trace_content_key(kernel, isa, seed).to_hex(), hex);
+        }
+        // Four threads race the first fill of every (kernel, ISA) prefix.
+        let seeds = [0, 1, 0x5C99, u64::MAX];
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(move || {
+                    for kernel in KernelId::all() {
+                        for isa in IsaKind::all() {
+                            for seed in seeds {
+                                assert_eq!(
+                                    trace_content_key(kernel, isa, seed),
+                                    key_from_scratch(kernel, isa, seed),
+                                    "{kernel:?}/{isa:?}/{seed:#x}"
+                                );
+                            }
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

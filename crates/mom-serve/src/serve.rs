@@ -1,7 +1,9 @@
 //! The TCP listener and request router of `momsim serve`.
 //!
-//! One thread accepts connections (non-blocking, so the stop flag is
-//! honoured promptly), one short-lived thread handles each connection
+//! One thread accepts connections, blocking in `accept()` so a request is
+//! picked up the moment it arrives; `POST /shutdown` sets the stop flag
+//! and then wakes that thread with a throwaway connection to its own
+//! port.  One short-lived thread handles each connection
 //! (`Connection: close`; submissions are small and the worker pool does
 //! the real work), and the routes map directly onto [`crate::queue`]:
 //!
@@ -23,8 +25,8 @@ use crate::wire::{job_doc, job_entry, parse_submit};
 use mom_bench::json::Json;
 use mom_bench::{find_experiment, Report};
 use mom_store::faults::{self, FaultSite};
-use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufReader, ErrorKind};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -163,16 +165,15 @@ pub fn serve_with_timeout(
     read_timeout: Duration,
 ) -> std::io::Result<Server> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let accept = {
         let daemon = Arc::clone(&daemon);
         let stop = Arc::clone(&stop);
+        let wake = wake_target(addr);
         std::thread::Builder::new()
             .name("mom-serve-accept".to_string())
-            .spawn(move || accept_loop(listener, daemon, stop, read_timeout))
-            .expect("spawn accept loop")
+            .spawn(move || accept_loop(listener, daemon, stop, wake, read_timeout))?
     };
     Ok(Server {
         addr,
@@ -181,42 +182,74 @@ pub fn serve_with_timeout(
     })
 }
 
+/// Pause after an accept error (say, out of file descriptors) before the
+/// next `accept()`, so a persistent error cannot spin the thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Where the shutdown wake connects: the bound address, with an
+/// unspecified IP (`0.0.0.0` / `::`) replaced by the matching loopback.
+fn wake_target(bound: SocketAddr) -> SocketAddr {
+    let mut target = bound;
+    if target.ip().is_unspecified() {
+        target.set_ip(match target {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    target
+}
+
+/// Accepts connections until the stop flag is set.  Only the flag ends
+/// the loop: it is re-checked after every accepted connection (the
+/// shutdown wake is one), and an accept error is logged, counted and
+/// retried after a short backoff.
 fn accept_loop(
     listener: TcpListener,
     daemon: Arc<Daemon>,
     stop: Arc<AtomicBool>,
+    wake: SocketAddr,
     read_timeout: Duration,
 ) {
+    // Registered up front so `/metrics` shows the series at zero.
+    let accept_errors = mom_obs::counter(
+        "momsim_serve_accept_errors_total",
+        "Listener accept() calls that failed (retried after a backoff).",
+    );
     let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if faults::should_inject(FaultSite::HttpAccept) {
-                    // An injected accept fault: drop the connection on the
-                    // floor, exactly like a listener overflow would.
-                    drop(stream);
-                    continue;
-                }
-                let daemon = Arc::clone(&daemon);
-                let stop = Arc::clone(&stop);
-                connections.retain(|handle| !handle.is_finished());
-                // A failed spawn (thread exhaustion) drops this connection
-                // with its closure; the listener keeps accepting.
-                match std::thread::Builder::new()
-                    .name("mom-serve-conn".to_string())
-                    .spawn(move || handle_connection(stream, &daemon, &stop, read_timeout))
-                {
-                    Ok(handle) => connections.push(handle),
-                    Err(e) => mom_obs::log::warn(
-                        "serve",
-                        &format!("cannot spawn a connection handler, dropping the connection: {e}"),
-                    ),
-                }
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => {
+                accept_errors.inc();
+                mom_obs::log::warn("serve", &format!("accept failed, retrying: {e}"));
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                continue;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
+        };
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        if faults::should_inject(FaultSite::HttpAccept) {
+            // An injected accept fault: drop the connection on the floor,
+            // exactly like a listener overflow would.
+            drop(stream);
+            continue;
+        }
+        let daemon = Arc::clone(&daemon);
+        let stop = Arc::clone(&stop);
+        connections.retain(|handle| !handle.is_finished());
+        // A failed spawn (thread exhaustion) drops this connection with its
+        // closure; the listener keeps accepting.
+        match std::thread::Builder::new()
+            .name("mom-serve-conn".to_string())
+            .spawn(move || handle_connection(stream, &daemon, &stop, wake, read_timeout))
+        {
+            Ok(handle) => connections.push(handle),
+            Err(e) => mom_obs::log::warn(
+                "serve",
+                &format!("cannot spawn a connection handler, dropping the connection: {e}"),
+            ),
         }
     }
     for handle in connections {
@@ -267,6 +300,7 @@ fn handle_connection(
     stream: TcpStream,
     daemon: &Daemon,
     stop: &AtomicBool,
+    wake: SocketAddr,
     read_timeout: Duration,
 ) {
     if faults::should_inject(FaultSite::HttpRead) {
@@ -320,6 +354,12 @@ fn handle_connection(
     }
     let mut stream = stream;
     let _ = response.write_to(&mut stream);
+    if matches!(&request, Some(r) if r.method == "POST" && r.path == "/shutdown") {
+        // The stop flag is set; unblock the accept loop so it sees it.
+        if let Err(e) = TcpStream::connect_timeout(&wake, Duration::from_secs(1)) {
+            mom_obs::log::warn("serve", &format!("cannot wake the accept loop: {e}"));
+        }
+    }
 }
 
 fn route(method: &str, path: &str, body: &[u8], daemon: &Daemon, stop: &AtomicBool) -> Response {

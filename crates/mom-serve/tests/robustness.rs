@@ -1,8 +1,9 @@
 //! Fault-tolerance suite: supervised workers retry injected panics to
 //! success, exhausted retries fail the job with unit coordinates, the
 //! crash journal re-admits unfinished jobs recomputing only lost units,
-//! slow clients get 408, and injected accept faults are ridden out by the
-//! client's retry policy.
+//! slow clients get 408, injected accept faults are ridden out by the
+//! client's retry policy, the accept loop answers without a polling floor,
+//! and `POST /shutdown` wakes a blocked accept.
 //!
 //! The fault plane and the artifact store are process-global, so every
 //! test serialises on one mutex and clears its fault plan before
@@ -21,8 +22,8 @@ use mom_store::faults::{self, FaultPlan, FaultSite};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::sync::{mpsc, Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -311,4 +312,64 @@ fn injected_accept_faults_are_ridden_out_by_client_retries() {
     let (status, doc) = result.expect("the retry must get through");
     assert_eq!(status, 200, "{doc}");
     assert_eq!(injected, 1, "exactly the budgeted accept fault fired");
+}
+
+#[test]
+fn healthz_round_trips_have_no_accept_polling_floor() {
+    let _serial = serial();
+    let server = serve_with(Daemon::new(0, 1), "127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = server.addr().to_string();
+    let policy = RetryPolicy::default();
+    // An untimed first request: a connection queued before the accept
+    // thread's first `accept()` is picked up at once even by a sleep-poll
+    // loop, so only the steady state after it says anything.
+    request_json_with(&addr, "GET", "/healthz", None, &policy).expect("healthz");
+    // The minimum of 20 sequential round trips: a sleep-poll accept loop
+    // puts a floor under every one of them, while noise from a busy host
+    // only ever adds time.
+    let fastest = (0..20)
+        .map(|_| {
+            let start = Instant::now();
+            let (status, _) =
+                request_json_with(&addr, "GET", "/healthz", None, &policy).expect("healthz");
+            assert_eq!(status, 200);
+            start.elapsed()
+        })
+        .min()
+        .unwrap();
+    assert!(
+        fastest < Duration::from_millis(5),
+        "fastest healthz round trip took {fastest:?}"
+    );
+}
+
+#[test]
+fn shutdown_wakes_a_blocked_accept_on_any_bind_address() {
+    let _serial = serial();
+    for bind in ["0.0.0.0:0", "127.0.0.1:0"] {
+        let server = serve_with(Daemon::new(0, 1), bind).expect("bind an ephemeral port");
+        let port = server.addr().port();
+        let policy = RetryPolicy::default();
+        let (status, doc) = request_json_with(
+            &format!("127.0.0.1:{port}"),
+            "POST",
+            "/shutdown",
+            None,
+            &policy,
+        )
+        .expect("shutdown");
+        assert_eq!(status, 200, "{doc}");
+        // Join on a watchdog thread: a wedged accept fails the test
+        // instead of hanging it.
+        let (done, joined) = mpsc::channel();
+        let watchdog = std::thread::spawn(move || {
+            server.join();
+            let _ = done.send(());
+        });
+        assert!(
+            joined.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "Server::join on {bind} did not return within 5 s of POST /shutdown"
+        );
+        watchdog.join().expect("join thread");
+    }
 }
