@@ -10,18 +10,18 @@
 //! momsim sweep --out-dir .            # regenerate every BENCH_*.json
 //! ```
 //!
-//! Axis values are parsed with the `FromStr` implementations of
-//! [`KernelId`], [`IsaKind`] and [`MemoryModel`], so a typo produces an
+//! Axis flags are split out by [`split_axis_args`] (shared with
+//! `momsim submit`) and read by [`ExperimentSpec::from_axes`] (shared with
+//! the daemon), whose `FromStr` parsing of every value makes a typo an
 //! error listing the valid names instead of a panic.  All parsing returns
 //! [`Result`]; `momsim` maps errors to exit status 2 (usage) or 1 (runtime
 //! failure).
 
-use crate::json::Json;
-use crate::spec::{find_experiment, registry, ExperimentError, ExperimentSpec};
+use crate::spec::{find_experiment, registry, ExperimentError, ExperimentSpec, AXES};
 use crate::{full_sweep_with_jobs, Report};
 use mom_isa::IsaKind;
 use mom_kernels::KernelId;
-use mom_pipeline::{MemoryModel, PipelineConfig, SamplingConfig};
+use mom_obs::json::Json;
 use std::path::{Path, PathBuf};
 
 /// A command-line failure: bad usage, a failed experiment run, or an I/O
@@ -274,7 +274,7 @@ fn print_sweep_store_summary() {
 
 /// Computes every document `momsim sweep` writes, without touching the
 /// filesystem: `(file name, document, points)` in write order. Split from
-/// [`run_sweep`] so the incremental-sweep tests can byte-compare the exact
+/// `run_sweep` so the incremental-sweep tests can byte-compare the exact
 /// documents a cold and a warm sweep would emit.
 pub fn sweep_documents(jobs: Option<usize>) -> Result<Vec<(&'static str, Json, usize)>, CliError> {
     // The full registered-experiment set in one process: one measured pass
@@ -441,8 +441,10 @@ USAGE:
       deterministic fault-injection harness for chaos testing, e.g.
       'seed=7,store-write=0.05,worker-panic=0.1:20,delay-ms=25' — never
       use it in production.
-  momsim submit [--addr HOST:PORT] (<experiment> | AXES) [--wait] [--json PATH]
-      Submit an experiment to a running daemon; --wait polls until the job
+  momsim submit [--addr HOST:PORT] (<experiment> | AXES [--label NAME])
+                [--wait] [--json PATH]
+      Submit an experiment to a running daemon (AXES: the flags of an
+      ad-hoc `momsim run`, sent as given); --wait polls until the job
       finishes and prints a summary (--json writes the result rows), riding
       out daemon restarts of up to ten consecutive failed polls.
   momsim status [--addr HOST:PORT] [JOB]
@@ -526,155 +528,56 @@ fn list() {
     println!("memory models (--memory): a latency in cycles, perfect, l2, main, cache/l1l2");
 }
 
-fn parse_list<T>(flag: &str, value: &str) -> Result<Vec<T>, CliError>
-where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
-{
-    let parsed: Result<Vec<T>, CliError> = value
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse()
-                .map_err(|e: T::Err| CliError::Usage(format!("{flag}: {e}")))
-        })
-        .collect();
-    let parsed = parsed?;
-    if parsed.is_empty() {
-        return Err(CliError::Usage(format!("{flag} needs at least one value")));
-    }
-    Ok(parsed)
-}
+/// Grid axes as `(axis, tokens)` pairs, the input of
+/// [`ExperimentSpec::from_axes`].
+pub type Axes = Vec<(String, Vec<String>)>;
 
-/// Parsed ad-hoc grid axes of `momsim run --kernels .. --isas ..`.
-#[derive(Debug, Default)]
-struct GridArgs {
-    kernels: Option<Vec<KernelId>>,
-    isas: Option<Vec<IsaKind>>,
-    widths: Option<Vec<usize>>,
-    memory: Option<Vec<MemoryModel>>,
-    rob: Option<Vec<usize>>,
-    lanes: Option<Vec<usize>>,
-    replication: Option<usize>,
-    seed: Option<u64>,
-    sampled: Option<SamplingConfig>,
-    json: Option<PathBuf>,
-    jobs: Option<usize>,
-}
-
-fn parse_grid_args(args: &[String]) -> Result<GridArgs, CliError> {
-    let mut parsed = GridArgs::default();
+/// Splits the grid-axis flags (`--kernels`, `--isas`, ... — one per
+/// [`AXES`] name) out of an argument list: the one argv reader of both
+/// `momsim run` and `momsim submit`.  An axis value is split on commas
+/// into tokens, uninterpreted; `--sampled` takes an optional operand (bare,
+/// it is an axis with no tokens: the default schedule).  Every other
+/// argument is returned, in order, for the caller's own flags.
+pub fn split_axis_args(args: &[String]) -> Result<(Axes, Vec<String>), CliError> {
+    let mut axes = Axes::new();
+    let mut rest = Vec::new();
     let mut it = args.iter().peekable();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
+    while let Some(arg) = it.next() {
+        let Some(axis) = arg.strip_prefix("--").filter(|name| AXES.contains(name)) else {
+            rest.push(arg.clone());
+            continue;
         };
-        match flag.as_str() {
-            "--kernels" => {
-                let v = value()?;
-                parsed.kernels = Some(if v == "all" {
-                    KernelId::ALL.to_vec()
-                } else {
-                    parse_list("--kernels", v)?
-                });
-            }
-            "--isas" => {
-                let v = value()?;
-                parsed.isas = Some(match v {
-                    "all" => IsaKind::ALL.to_vec(),
-                    "media" => IsaKind::MEDIA.to_vec(),
-                    _ => parse_list("--isas", v)?,
-                });
-            }
-            "--widths" => parsed.widths = Some(parse_list("--widths", value()?)?),
-            "--memory" => parsed.memory = Some(parse_list("--memory", value()?)?),
-            "--rob" => parsed.rob = Some(parse_list("--rob", value()?)?),
-            "--lanes" => parsed.lanes = Some(parse_list("--lanes", value()?)?),
-            "--replication" => {
-                parsed.replication = Some(
-                    value()?
-                        .parse()
-                        .map_err(|e| CliError::Usage(format!("--replication: {e}")))?,
-                )
-            }
-            "--seed" => {
-                parsed.seed = Some(
-                    value()?
-                        .parse()
-                        .map_err(|e| CliError::Usage(format!("--seed: {e}")))?,
-                )
-            }
-            "--json" => parsed.json = Some(PathBuf::from(value()?)),
-            "--jobs" => parsed.jobs = Some(parse_jobs(value()?)?),
-            "--sampled" => {
-                // The schedule operand is optional: `--sampled` alone uses
-                // the default, `--sampled 200:671:150` overrides it.
-                let schedule = match it.peek() {
-                    Some(next) if !next.starts_with("--") => {
-                        let v = it.next().expect("peeked");
-                        v.parse()
-                            .map_err(|e| CliError::Usage(format!("--sampled: {e}")))?
-                    }
-                    _ => SamplingConfig::DEFAULT,
-                };
-                parsed.sampled = Some(schedule);
-            }
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown argument {other} (see `momsim help`)"
-                )))
-            }
-        }
+        let value = if axis == "sampled" {
+            it.next_if(|next| !next.starts_with("--"))
+        } else {
+            Some(
+                it.next()
+                    .ok_or_else(|| CliError::Usage(format!("{arg} needs a value")))?,
+            )
+        };
+        let tokens = value.map_or_else(Vec::new, |value| {
+            value
+                .split(',')
+                .map(str::trim)
+                .filter(|token| !token.is_empty())
+                .map(String::from)
+                .collect()
+        });
+        axes.push((axis.to_string(), tokens));
     }
-    Ok(parsed)
+    Ok((axes, rest))
 }
 
-/// Assembles the [`ExperimentSpec`] of an ad-hoc grid: the cross product of
-/// the width, memory, ROB and lane axes, each configuration built (and
-/// validated) by [`PipelineConfig::builder`].
-fn grid_spec(args: &GridArgs) -> Result<ExperimentSpec, CliError> {
-    let mut spec = ExperimentSpec::default();
-    if let Some(kernels) = &args.kernels {
-        spec.kernels = kernels.clone();
-    }
-    if let Some(isas) = &args.isas {
-        spec.isas = isas.clone();
-    }
-    if let Some(replication) = args.replication {
-        spec.replication = replication;
-    }
-    if let Some(seed) = args.seed {
-        spec.seed = seed;
-    }
-    spec.sampling = args.sampled;
-    let optional = |values: &Option<Vec<usize>>| -> Vec<Option<usize>> {
-        match values {
-            Some(values) => values.iter().copied().map(Some).collect(),
-            None => vec![None],
-        }
-    };
-    let mut configs = Vec::new();
-    for &width in args.widths.as_deref().unwrap_or(&[4]) {
-        for &memory in args.memory.as_deref().unwrap_or(&[MemoryModel::PERFECT]) {
-            for rob in optional(&args.rob) {
-                for lanes in optional(&args.lanes) {
-                    let mut builder = PipelineConfig::builder().issue_width(width).memory(memory);
-                    if let Some(rob) = rob {
-                        builder = builder.rob(rob);
-                    }
-                    if let Some(lanes) = lanes {
-                        builder = builder.lanes(lanes);
-                    }
-                    configs.push(builder.build().map_err(CliError::Usage)?);
-                }
-            }
-        }
-    }
-    spec.configs = configs;
-    Ok(spec)
+/// Parses the arguments of an ad-hoc `momsim run`: the grid (axis flags
+/// through [`split_axis_args`] and [`ExperimentSpec::from_axes`]), then
+/// `--json PATH` and `--jobs N`.
+pub fn adhoc_run_args(
+    args: &[String],
+) -> Result<(ExperimentSpec, Option<PathBuf>, Option<usize>), CliError> {
+    let (axes, rest) = split_axis_args(args)?;
+    let (json, jobs) = registered_run_args(&rest)?;
+    let spec = ExperimentSpec::from_axes(&axes).map_err(CliError::Usage)?;
+    Ok((spec, json, jobs))
 }
 
 /// Parsed arguments of `momsim bench`.
@@ -762,7 +665,7 @@ fn registered_run_args(args: &[String]) -> Result<(Option<PathBuf>, Option<usize
             "--jobs" => jobs = Some(parse_jobs(value()?)?),
             other => {
                 return Err(CliError::Usage(format!(
-                    "unknown argument {other} (expected --json PATH, --jobs N)"
+                    "unknown argument {other} (see `momsim help`)"
                 )))
             }
         }
@@ -779,11 +682,10 @@ fn run_command(args: &[String]) -> Result<(), CliError> {
         }
         // `momsim run --kernels .. --isas ..` (an ad-hoc grid)
         Some(_) => {
-            let parsed = parse_grid_args(args)?;
-            let spec = grid_spec(&parsed)?;
-            let report = Report::Grid(spec.run_with_jobs(parsed.jobs)?);
+            let (spec, json, jobs) = adhoc_run_args(args)?;
+            let report = Report::Grid(spec.run_with_jobs(jobs)?);
             print!("{}", report.text());
-            if let Some(path) = &parsed.json {
+            if let Some(path) = &json {
                 write_report(path, &report.json())?;
             }
             Ok(())
@@ -843,14 +745,19 @@ pub fn momsim_main() -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mom_pipeline::{MemoryModel, SamplingConfig};
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    fn adhoc_spec(args: &[&str]) -> Result<ExperimentSpec, CliError> {
+        adhoc_run_args(&strs(args)).map(|(spec, _, _)| spec)
+    }
+
     #[test]
     fn grid_args_assemble_the_cross_product() {
-        let parsed = parse_grid_args(&strs(&[
+        let spec = adhoc_spec(&[
             "--kernels",
             "idct,motion1",
             "--isas",
@@ -859,9 +766,8 @@ mod tests {
             "1,2,4,8",
             "--memory",
             "l1l2",
-        ]))
+        ])
         .unwrap();
-        let spec = grid_spec(&parsed).unwrap();
         assert_eq!(spec.kernels, vec![KernelId::Idct, KernelId::Motion1]);
         assert_eq!(spec.isas, vec![IsaKind::Mom, IsaKind::Mdmx]);
         assert_eq!(spec.configs.len(), 4);
@@ -875,7 +781,7 @@ mod tests {
 
     #[test]
     fn grid_args_sweep_rob_and_lanes() {
-        let parsed = parse_grid_args(&strs(&[
+        let spec = adhoc_spec(&[
             "--rob",
             "16,32",
             "--lanes",
@@ -884,9 +790,8 @@ mod tests {
             "7",
             "--replication",
             "100",
-        ]))
+        ])
         .unwrap();
-        let spec = grid_spec(&parsed).unwrap();
         assert_eq!(spec.configs.len(), 4, "2 rob x 2 lane values");
         assert_eq!(spec.seed, 7);
         assert_eq!(spec.replication, 100);
@@ -899,14 +804,15 @@ mod tests {
 
     #[test]
     fn sampled_flag_takes_an_optional_schedule() {
-        let parsed = parse_grid_args(&strs(&["--sampled", "--widths", "2"])).unwrap();
-        assert_eq!(parsed.sampled, Some(SamplingConfig::DEFAULT));
-        let spec = grid_spec(&parsed).unwrap();
+        let spec = adhoc_spec(&["--sampled", "--widths", "2"]).unwrap();
         assert_eq!(spec.sampling, Some(SamplingConfig::DEFAULT));
+        let (axes, rest) = split_axis_args(&strs(&["--sampled", "--json", "o.json"])).unwrap();
+        assert_eq!(axes, vec![("sampled".to_string(), vec![])]);
+        assert_eq!(rest, strs(&["--json", "o.json"]));
 
-        let parsed = parse_grid_args(&strs(&["--sampled", "100:900:20"])).unwrap();
+        let spec = adhoc_spec(&["--sampled", "100:900:20"]).unwrap();
         assert_eq!(
-            parsed.sampled,
+            spec.sampling,
             Some(SamplingConfig {
                 detailed: 100,
                 fastforward: 900,
@@ -914,10 +820,10 @@ mod tests {
             })
         );
 
-        let err = parse_grid_args(&strs(&["--sampled", "nonsense"])).unwrap_err();
+        let err = adhoc_spec(&["--sampled", "nonsense"]).unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
 
-        assert_eq!(parse_grid_args(&strs(&[])).unwrap().sampled, None);
+        assert_eq!(adhoc_spec(&["--widths", "4"]).unwrap().sampling, None);
     }
 
     #[test]
@@ -949,8 +855,8 @@ mod tests {
         let err = sweep_args(strs(&["--jobs", "many"])).unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
 
-        let parsed = parse_grid_args(&strs(&["--jobs", "2", "--widths", "4"])).unwrap();
-        assert_eq!(parsed.jobs, Some(2));
+        let (_, json, jobs) = adhoc_run_args(&strs(&["--jobs", "2", "--widths", "4"])).unwrap();
+        assert_eq!((json, jobs), (None, Some(2)));
 
         let (json, jobs) =
             registered_run_args(&strs(&["--json", "o.json", "--jobs", "2"])).unwrap();
@@ -962,19 +868,23 @@ mod tests {
 
     #[test]
     fn bad_axis_values_report_the_valid_names() {
-        let err = parse_grid_args(&strs(&["--kernels", "fft"])).unwrap_err();
+        let err = adhoc_spec(&["--kernels", "fft"]).unwrap_err();
         let text = err.to_string();
         assert!(text.contains("idct"), "{text}");
         assert_eq!(err.exit_code(), 2);
-        let err = parse_grid_args(&strs(&["--isas", "sse"])).unwrap_err();
+        let err = adhoc_spec(&["--isas", "sse"]).unwrap_err();
         assert!(err.to_string().contains("mdmx"));
-        let err = parse_grid_args(&strs(&["--memory", "dram"])).unwrap_err();
+        let err = adhoc_spec(&["--memory", "dram"]).unwrap_err();
         assert!(err.to_string().contains("l1l2"));
-        let err = parse_grid_args(&strs(&["--widths", "x"])).unwrap_err();
+        let err = adhoc_spec(&["--widths", "x"]).unwrap_err();
         assert_eq!(err.exit_code(), 2);
         // Invalid machine axes surface the builder's validation message.
-        let parsed = parse_grid_args(&strs(&["--widths", "0"])).unwrap();
-        let err = grid_spec(&parsed).unwrap_err();
+        let err = adhoc_spec(&["--widths", "0"]).unwrap_err();
         assert!(err.to_string().contains("issue width"), "{err}");
+        assert_eq!(err.exit_code(), 2);
+        let err = adhoc_spec(&["--widths"]).unwrap_err();
+        assert!(err.to_string().contains("needs a value"), "{err}");
+        let err = adhoc_spec(&["--widths", "4", "--frobnicate"]).unwrap_err();
+        assert!(err.to_string().contains("--frobnicate"), "{err}");
     }
 }

@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod json;
 pub mod perf;
 pub mod schedule;
 pub mod spec;
@@ -56,10 +55,10 @@ pub use spec::{
     find_experiment, registry, ExperimentError, ExperimentSpec, GridResult, NamedExperiment,
 };
 
-use json::Json;
 use mom_arch::TraceStats;
 use mom_isa::IsaKind;
 use mom_kernels::{shared_kernel_run, KernelError, KernelId};
+use mom_obs::json::Json;
 use mom_pipeline::{MemoryModel, PipelineConfig, SimResult};
 
 /// Seed used by every experiment (the workloads are deterministic).
@@ -255,7 +254,7 @@ fn union_spec() -> ExperimentSpec {
 }
 
 /// All three reports of the paper's evaluation, computed from one grid run
-/// of [`union_spec`].
+/// of `union_spec`.
 #[derive(Debug, Clone)]
 pub struct SweepResults {
     /// The Figure 4 speed-up bars.

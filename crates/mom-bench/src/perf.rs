@@ -20,10 +20,10 @@
 //! timings are machine-dependent snapshots refreshed by maintainers with
 //! `momsim bench --json BENCH_perf.json`.
 
-use crate::json::Json;
 use crate::{full_sweep, steady_state_trace, ExperimentError, EXPERIMENT_SEED};
 use mom_isa::IsaKind;
 use mom_kernels::KernelId;
+use mom_obs::json::{self, Json};
 use mom_pipeline::{
     MemoryModel, PipelineConfig, PipelineSim, ReferenceSim, SamplingConfig, TraceSink,
 };
@@ -478,7 +478,7 @@ pub fn perf_json(report: &PerfReport) -> Json {
 }
 
 /// JSON keys of `BENCH_perf.json` whose values are measured timings
-/// (machine-dependent); every other line of the document is deterministic
+/// (machine-dependent); every other value of the document is deterministic
 /// structure.
 pub const MEASURED_KEYS: [&str; 8] = [
     "sweep_seconds",
@@ -491,49 +491,78 @@ pub const MEASURED_KEYS: [&str; 8] = [
     "sampled_speedup",
 ];
 
-/// Strips the measured-timing lines from a rendered `BENCH_perf.json`,
-/// leaving only the deterministic structure.
-fn structure_lines(doc: &str) -> Vec<String> {
-    doc.lines()
-        .filter(|line| {
-            !MEASURED_KEYS
-                .iter()
-                .any(|key| line.trim_start().starts_with(&format!("\"{key}\"")))
-        })
-        .map(str::to_string)
-        .collect()
+/// Parses a committed `BENCH_perf.json`.
+fn parse_committed(committed: &str) -> Result<Json, String> {
+    json::parse(committed).map_err(|e| format!("the committed report does not parse: {e}"))
+}
+
+/// The first difference between two documents, ignoring only the values
+/// of [`MEASURED_KEYS`]: object keys (and their order), array lengths and
+/// every other value must match.  Named by its JSON path, e.g.
+/// `engine[0].instructions`.
+fn first_difference(committed: &Json, fresh: &Json, path: &str) -> Option<String> {
+    let child = |key: &str| match path {
+        "" => key.to_string(),
+        _ => format!("{path}.{key}"),
+    };
+    let here = match path {
+        "" => "the document root",
+        _ => path,
+    };
+    match (committed, fresh) {
+        (Json::Obj(a), Json::Obj(b)) => {
+            for index in 0..a.len().max(b.len()) {
+                let ((key, x), (fresh_key, y)) = match (a.get(index), b.get(index)) {
+                    (Some(x), Some(y)) => (x, y),
+                    (Some((key, _)), None) => {
+                        return Some(format!("{}: only in the committed report", child(key)))
+                    }
+                    (None, Some((key, _))) => {
+                        return Some(format!("{}: only in the fresh report", child(key)))
+                    }
+                    (None, None) => unreachable!("index below both lengths"),
+                };
+                if key != fresh_key {
+                    return Some(format!(
+                        "{}: the fresh report has \"{fresh_key}\" in its place",
+                        child(key)
+                    ));
+                }
+                if !MEASURED_KEYS.contains(&key.as_str()) {
+                    if let Some(difference) = first_difference(x, y, &child(key)) {
+                        return Some(difference);
+                    }
+                }
+            }
+            None
+        }
+        (Json::Arr(a), Json::Arr(b)) => {
+            let elements = a.iter().zip(b).enumerate();
+            elements
+                .filter_map(|(i, (x, y))| first_difference(x, y, &format!("{path}[{i}]")))
+                .next()
+                .or_else(|| {
+                    (a.len() != b.len()).then(|| {
+                        format!("{here}: committed {} entries, fresh {}", a.len(), b.len())
+                    })
+                })
+        }
+        _ if committed == fresh => None,
+        _ => Some(format!("{here}: committed {committed}, fresh {fresh}")),
+    }
 }
 
 /// Verifies that a freshly measured report has the same *structure* as a
-/// committed `BENCH_perf.json`: the same benchmark set, stream lengths and
-/// sweep coverage.  Timing values are machine-dependent and ignored.
-/// Returns a description of the first mismatch, if any.
+/// committed `BENCH_perf.json`: both documents are compared as ordered
+/// trees with only the [`MEASURED_KEYS`] values masked, so the benchmark
+/// set, stream lengths, sweep coverage and sampling accuracy must match
+/// exactly.  Returns the JSON path of the first mismatch, if any.
 pub fn check_structure(committed: &str, fresh: &PerfReport) -> Result<(), String> {
-    let fresh = perf_json(fresh).pretty();
-    let committed_structure = structure_lines(committed);
-    let fresh_structure = structure_lines(&fresh);
-    if committed_structure == fresh_structure {
-        return Ok(());
+    let committed = parse_committed(committed)?;
+    match first_difference(&committed, &perf_json(fresh), "") {
+        None => Ok(()),
+        Some(difference) => Err(format!("structure differs at {difference}")),
     }
-    for (index, (a, b)) in committed_structure
-        .iter()
-        .zip(fresh_structure.iter())
-        .enumerate()
-    {
-        if a != b {
-            return Err(format!(
-                "structure line {} differs:\n  committed: {}\n  fresh:     {}",
-                index + 1,
-                a,
-                b
-            ));
-        }
-    }
-    Err(format!(
-        "structure length differs: committed {} lines, fresh {} lines",
-        committed_structure.len(),
-        fresh_structure.len()
-    ))
 }
 
 /// Fraction of the committed geomean engine speed-up a fresh measurement
@@ -546,56 +575,6 @@ pub const GEOMEAN_REGRESSION_SLACK: f64 = 0.75;
 /// aggregate, so the per-workload floor is wider.
 pub const WORKLOAD_REGRESSION_SLACK: f64 = 0.5;
 
-/// Parses the number of a pretty-printed `"key": value,` JSON line.
-fn line_number(line: &str) -> Option<f64> {
-    line.split(':')
-        .nth(1)?
-        .trim()
-        .trim_end_matches(',')
-        .parse()
-        .ok()
-}
-
-/// Parses the string of a pretty-printed `"key": "value",` JSON line.
-fn line_string(line: &str) -> Option<&str> {
-    line.split_once(':')?
-        .1
-        .trim()
-        .trim_end_matches(',')
-        .strip_prefix('"')?
-        .strip_suffix('"')
-}
-
-/// Extracts the measured engine speed-ups of a committed `BENCH_perf.json`:
-/// the (workload id, speed-up) pairs and the geomean.  A line scan of the
-/// repo's own pretty-printer output — the format [`perf_json`] emits, where
-/// each engine entry's `"workload"` line precedes its `"speedup"` line.
-fn committed_speedups(committed: &str) -> Result<(Vec<(String, f64)>, f64), String> {
-    let mut workloads = Vec::new();
-    let mut current: Option<String> = None;
-    let mut geomean = None;
-    for line in committed.lines() {
-        let line = line.trim_start();
-        if line.starts_with("\"workload\"") {
-            current = line_string(line).map(str::to_string);
-        } else if line.starts_with("\"speedup\"") {
-            let id = current
-                .take()
-                .ok_or("a \"speedup\" line without a preceding \"workload\"")?;
-            let speedup =
-                line_number(line).ok_or_else(|| format!("unparsable speed-up line: {line}"))?;
-            workloads.push((id, speedup));
-        } else if line.starts_with("\"engine_speedup_geomean\"") {
-            geomean = line_number(line);
-        }
-    }
-    let geomean = geomean.ok_or("no engine_speedup_geomean in the committed report")?;
-    if workloads.is_empty() {
-        return Err("no per-workload speed-ups in the committed report".into());
-    }
-    Ok((workloads, geomean))
-}
-
 /// Verifies that freshly measured engine throughput has not **regressed**
 /// against a committed `BENCH_perf.json`: the geomean speed-up must stay
 /// above [`GEOMEAN_REGRESSION_SLACK`] of the committed value, and every
@@ -606,7 +585,29 @@ fn committed_speedups(committed: &str) -> Result<(Vec<(String, f64)>, f64), Stri
 /// order-of-magnitude loss (an accidentally de-optimised engine, a
 /// quadratic scan reintroduced) fails the check.
 pub fn check_performance(committed: &str, fresh: &PerfReport) -> Result<(), String> {
-    let (workloads, committed_geomean) = committed_speedups(committed)?;
+    let committed = parse_committed(committed)?;
+    let committed_geomean = committed
+        .get("engine_speedup_geomean")
+        .and_then(Json::as_f64)
+        .ok_or("no engine_speedup_geomean in the committed report")?;
+    let workloads = committed
+        .get("engine")
+        .and_then(Json::as_arr)
+        .filter(|entries| !entries.is_empty())
+        .ok_or("no per-workload speed-ups in the committed report")?
+        .iter()
+        .map(|entry| {
+            let id = entry
+                .get("workload")
+                .and_then(Json::as_str)
+                .ok_or("an engine entry without a workload id")?;
+            let speedup = entry
+                .get("speedup")
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("engine entry {id} has no numeric speedup"))?;
+            Ok((id, speedup))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     let fresh_geomean = fresh.engine_speedup_geomean();
     let floor = committed_geomean * GEOMEAN_REGRESSION_SLACK;
     if fresh_geomean < floor {
@@ -688,11 +689,28 @@ mod tests {
         let mut reshaped = report.clone();
         reshaped.engine[0].instructions += 1;
         let err = check_structure(&committed, &reshaped).unwrap_err();
-        assert!(err.contains("instructions"), "{err}");
+        assert!(err.contains("engine[0].instructions"), "{err}");
         // A missing benchmark is a structural change: fails.
-        let mut dropped = report;
+        let mut dropped = report.clone();
         dropped.engine.clear();
-        assert!(check_structure(&committed, &dropped).is_err());
+        let err = check_structure(&committed, &dropped).unwrap_err();
+        assert!(
+            err.contains("engine: committed 1 entries, fresh 0"),
+            "{err}"
+        );
+        // Reordered keys, a dropped measured key and an unparsable document
+        // all fail: the measured values are masked, their keys are not.
+        let reordered = committed.replace(
+            "\"schema\": 1,\n  \"experiment\": \"perf\"",
+            "\"experiment\": \"perf\",\n  \"schema\": 1",
+        );
+        assert_ne!(reordered, committed);
+        let err = check_structure(&reordered, &report).unwrap_err();
+        assert!(err.contains("schema"), "{err}");
+        let unmeasured = committed.replace("  \"sweep_seconds\": 0.5,\n", "");
+        assert_ne!(unmeasured, committed);
+        assert!(check_structure(&unmeasured, &report).is_err());
+        assert!(check_structure(&committed[..committed.len() / 2], &report).is_err());
     }
 
     #[test]

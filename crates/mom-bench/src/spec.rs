@@ -14,6 +14,10 @@
 //! and a derivation from the measured grid to a [`Report`].  Any new sweep
 //! (cache sizes, ROB depths, lane counts, new kernels) is a one-line
 //! scenario description instead of a new driver binary.
+//!
+//! Ad-hoc grids are read from named axes ([`AXES`]) by one function,
+//! [`ExperimentSpec::from_axes`], whichever way they arrive: `momsim run`
+//! and `momsim submit` flags or a `POST /jobs` body on the daemon.
 
 use crate::schedule::{self, PointJob};
 use crate::sweep::{parallel_map_with, worker_count};
@@ -21,6 +25,22 @@ use crate::{ExperimentPoint, Report, EXPERIMENT_SEED, FIG4_WIDTHS, STEADY_STATE_
 use mom_isa::IsaKind;
 use mom_kernels::{KernelError, KernelId};
 use mom_pipeline::{MemoryModel, PipelineConfig, SamplingConfig};
+use std::str::FromStr;
+
+/// The ad-hoc grid axes [`ExperimentSpec::from_axes`] reads, spelled as the
+/// `momsim run` / `momsim submit` flags (`--kernels`, ...) and the keys of
+/// a `POST /jobs` body.
+pub const AXES: [&str; 9] = [
+    "kernels",
+    "isas",
+    "widths",
+    "memory",
+    "rob",
+    "lanes",
+    "replication",
+    "seed",
+    "sampled",
+];
 
 /// A declarative experiment: the grid of scenarios to measure.
 ///
@@ -127,6 +147,77 @@ impl ExperimentSpec {
         Ok(())
     }
 
+    /// Builds an ad-hoc grid from named axes, each a list of string tokens
+    /// (`("widths", ["1", "8"])`): the one reader behind `momsim run`'s
+    /// axis flags, `momsim submit` and the daemon's `POST /jobs`.
+    ///
+    /// Every token goes through the `FromStr` of its domain type, so a typo
+    /// is an error listing the valid names.  `kernels all`, `isas all` and
+    /// `isas media` name sets; `sampled` with no token is the default
+    /// schedule.  Absent axes keep their defaults: every kernel and ISA,
+    /// width 4, perfect memory, width-derived ROB and lanes, the standard
+    /// replication and seed, exact timing.  A repeated axis replaces the
+    /// earlier one.  The configurations are the cross product of widths ×
+    /// memory × ROB × lanes, each built by [`PipelineConfig::builder`], and
+    /// the result passes [`validate`](ExperimentSpec::validate).
+    pub fn from_axes(axes: &[(String, Vec<String>)]) -> Result<ExperimentSpec, String> {
+        let mut spec = ExperimentSpec::default();
+        let mut widths = vec![4];
+        let mut memory = vec![MemoryModel::PERFECT];
+        let mut robs = vec![None];
+        let mut lanes = vec![None];
+        for (axis, tokens) in axes {
+            let axis = axis.as_str();
+            let set = match tokens.as_slice() {
+                [only] => Some(only.as_str()),
+                _ => None,
+            };
+            match (axis, set) {
+                ("kernels", Some("all")) => spec.kernels = KernelId::ALL.to_vec(),
+                ("kernels", _) => spec.kernels = parse_tokens(axis, tokens)?,
+                ("isas", Some("all")) => spec.isas = IsaKind::ALL.to_vec(),
+                ("isas", Some("media")) => spec.isas = IsaKind::MEDIA.to_vec(),
+                ("isas", _) => spec.isas = parse_tokens(axis, tokens)?,
+                ("widths", _) => widths = parse_tokens(axis, tokens)?,
+                ("memory", _) => memory = parse_tokens(axis, tokens)?,
+                ("rob", _) => robs = parse_tokens(axis, tokens)?.into_iter().map(Some).collect(),
+                ("lanes", _) => lanes = parse_tokens(axis, tokens)?.into_iter().map(Some).collect(),
+                ("replication", _) => spec.replication = parse_one(axis, tokens)?,
+                ("seed", _) => spec.seed = parse_one(axis, tokens)?,
+                ("sampled", _) if tokens.is_empty() => {
+                    spec.sampling = Some(SamplingConfig::DEFAULT)
+                }
+                ("sampled", _) => spec.sampling = Some(parse_one(axis, tokens)?),
+                (other, _) => {
+                    return Err(format!(
+                        "unknown axis '{other}' (expected one of: {})",
+                        AXES.join(", ")
+                    ))
+                }
+            }
+        }
+        spec.configs.clear();
+        for &width in &widths {
+            for &memory in &memory {
+                for &rob in &robs {
+                    for &lanes in &lanes {
+                        let mut builder =
+                            PipelineConfig::builder().issue_width(width).memory(memory);
+                        if let Some(rob) = rob {
+                            builder = builder.rob(rob);
+                        }
+                        if let Some(lanes) = lanes {
+                            builder = builder.lanes(lanes);
+                        }
+                        spec.configs.push(builder.build()?);
+                    }
+                }
+            }
+        }
+        spec.validate()?;
+        Ok(spec)
+    }
+
     /// Runs the grid: (kernel, ISA) pairs concurrently on the thread pool,
     /// each pair's verified functional run fanned out over every
     /// configuration at once.  Point order is kernel-major, then ISA, then
@@ -155,6 +246,34 @@ impl ExperimentSpec {
             spec: self.clone(),
             points,
         })
+    }
+}
+
+/// Parses every token of an axis; an axis needs at least one.
+fn parse_tokens<T>(axis: &str, tokens: &[String]) -> Result<Vec<T>, String>
+where
+    T: FromStr,
+    T::Err: std::fmt::Display,
+{
+    if tokens.is_empty() {
+        return Err(format!("{axis} needs at least one value"));
+    }
+    tokens
+        .iter()
+        .map(|token| token.parse().map_err(|e: T::Err| format!("{axis}: {e}")))
+        .collect()
+}
+
+/// Parses the single token of a scalar axis (`replication`, `seed`,
+/// `sampled`).
+fn parse_one<T>(axis: &str, tokens: &[String]) -> Result<T, String>
+where
+    T: FromStr,
+    T::Err: std::fmt::Display,
+{
+    match tokens {
+        [token] => token.parse().map_err(|e: T::Err| format!("{axis}: {e}")),
+        _ => Err(format!("{axis} takes exactly one value")),
     }
 }
 

@@ -1,15 +1,222 @@
-//! A strict recursive-descent JSON parser matching the `mom_bench::json`
-//! emitter.
+//! The workspace's one JSON module: the [`Json`] value, its typed
+//! accessors, the pretty emitter, the strict parser and the string
+//! escaper.
 //!
-//! The daemon is the only consumer of wire JSON, so the parser favours
-//! clear, positioned errors over leniency: duplicate object keys, trailing
-//! content, bad escapes, lone surrogates, leading zeros and non-finite
-//! numbers are all rejected with the line and column of the offence.
-//! Everything the emitter produces parses back to an equal [`Json`] tree
-//! (pinned by `tests/json_roundtrip.rs` over the committed `BENCH_*.json`
-//! documents).
+//! The build environment has no network access for a serialisation crate,
+//! and the documents are small, so this hand-rolled value tree is all that
+//! is needed.  Every JSON byte the workspace writes goes through
+//! [`write_string`] and [`Json::pretty`] — the `BENCH_*.json` reports, the
+//! daemon's wire documents, the Chrome trace export — and every byte it
+//! reads goes through [`parse`]: submissions, job documents on the client
+//! side, the committed `BENCH_perf.json` that `momsim bench --check`
+//! compares against.
+//!
+//! The parser favours clear, positioned errors over leniency: duplicate
+//! object keys, trailing content, bad escapes, lone surrogates, leading
+//! zeros and non-finite numbers are all rejected with the line and column
+//! of the offence.  Everything the emitter produces parses back to an
+//! equal tree and re-emits byte-identically (pinned by
+//! `tests/json_roundtrip.rs` over the committed `BENCH_*.json` documents).
 
-use mom_bench::json::Json;
+use std::fmt;
+
+/// A JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A finite number (non-finite values serialise as `null`).
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// An ordered array.
+    Arr(Vec<Json>),
+    /// An object with insertion-ordered keys.
+    Obj(Vec<(String, Json)>),
+}
+
+/// 2^53: the first integer a JSON number (an IEEE double) cannot hold
+/// exactly next to its neighbour, so [`Json::as_u64`] stops below it.
+const EXACT_INTEGER_LIMIT: f64 = 9_007_199_254_740_992.0;
+
+impl Json {
+    /// Builds an object from key/value pairs.
+    pub fn obj<I: IntoIterator<Item = (&'static str, Json)>>(pairs: I) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// Builds a string value.
+    pub fn str<S: Into<String>>(s: S) -> Json {
+        Json::Str(s.into())
+    }
+
+    /// Builds an integer value.
+    pub fn int<N: Into<i64>>(n: N) -> Json {
+        Json::Num(n.into() as f64)
+    }
+
+    /// Looks a key up in an object (first match; emitted and parsed
+    /// documents both have unique keys).  `None` for missing keys and
+    /// non-objects.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The string payload, when the value is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload, when the value is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload as an exact non-negative integer, when the value
+    /// is a number holding one below 2^53.  Larger numbers are `None`: the
+    /// double they parsed to may already be a neighbour of the integer the
+    /// document spelled, so such values travel as decimal strings.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Num(n) if *n >= 0.0 && *n == n.trunc() && *n < EXACT_INTEGER_LIMIT => {
+                Some(*n as u64)
+            }
+            _ => None,
+        }
+    }
+
+    /// The boolean payload, when the value is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The elements, when the value is an array.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The key/value pairs, when the value is an object.
+    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(pairs) => Some(pairs),
+            _ => None,
+        }
+    }
+
+    /// Serialises with two-space indentation and a trailing newline.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, indent: usize) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => {
+                if n.is_finite() {
+                    if *n == n.trunc() && n.abs() < 1e15 {
+                        out.push_str(&format!("{}", *n as i64));
+                    } else {
+                        out.push_str(&format!("{n}"));
+                    }
+                } else {
+                    // JSON has no NaN/Infinity.
+                    out.push_str("null");
+                }
+            }
+            Json::Str(s) => write_string(out, s),
+            Json::Arr(items) => {
+                if items.is_empty() {
+                    out.push_str("[]");
+                    return;
+                }
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push('\n');
+                    push_indent(out, indent + 1);
+                    item.write(out, indent + 1);
+                }
+                out.push('\n');
+                push_indent(out, indent);
+                out.push(']');
+            }
+            Json::Obj(pairs) => {
+                if pairs.is_empty() {
+                    out.push_str("{}");
+                    return;
+                }
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push('\n');
+                    push_indent(out, indent + 1);
+                    write_string(out, k);
+                    out.push_str(": ");
+                    v.write(out, indent + 1);
+                }
+                out.push('\n');
+                push_indent(out, indent);
+                out.push('}');
+            }
+        }
+    }
+}
+
+fn push_indent(out: &mut String, indent: usize) {
+    for _ in 0..indent {
+        out.push_str("  ");
+    }
+}
+
+/// Appends `s` to `out` as a quoted, escaped JSON string.
+pub fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut s = String::new();
+        self.write(&mut s, 0);
+        f.write_str(&s)
+    }
+}
 
 /// Nesting limit: deeper documents are rejected instead of overflowing the
 /// parser's stack.  The deepest emitted document is 4 levels.
@@ -28,8 +235,8 @@ pub struct ParseError {
     pub message: String,
 }
 
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "line {} column {}: {}",
@@ -339,6 +546,74 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escapes_and_formats() {
+        let doc = Json::obj([
+            ("name", Json::str("line\nbreak \"quoted\"")),
+            ("count", Json::int(42)),
+            ("ratio", Json::Num(2.5)),
+            ("bad", Json::Num(f64::NAN)),
+            ("flags", Json::Arr(vec![Json::Bool(true), Json::Null])),
+        ]);
+        let text = doc.pretty();
+        assert!(text.contains("\\n"));
+        assert!(text.contains("\\\"quoted\\\""));
+        assert!(text.contains("\"count\": 42"));
+        assert!(text.contains("\"ratio\": 2.5"));
+        assert!(text.contains("\"bad\": null"));
+        assert!(text.ends_with("}\n"));
+    }
+
+    #[test]
+    fn integers_do_not_grow_decimal_points() {
+        assert_eq!(Json::Num(1234.0).to_string(), "1234");
+        assert_eq!(Json::Num(0.125).to_string(), "0.125");
+    }
+
+    #[test]
+    fn accessors_walk_a_tree() {
+        let doc = Json::obj([
+            ("name", Json::str("idct")),
+            ("count", Json::int(42)),
+            ("ratio", Json::Num(2.5)),
+            ("ok", Json::Bool(true)),
+            ("rows", Json::Arr(vec![Json::Null])),
+        ]);
+        assert_eq!(doc.get("name").and_then(Json::as_str), Some("idct"));
+        assert_eq!(doc.get("count").and_then(Json::as_u64), Some(42));
+        assert_eq!(doc.get("ratio").and_then(Json::as_f64), Some(2.5));
+        assert_eq!(doc.get("ratio").and_then(Json::as_u64), None);
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(
+            doc.get("rows").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(1)
+        );
+        assert_eq!(doc.get("missing"), None);
+        assert_eq!(Json::Null.get("name"), None);
+        assert_eq!(doc.as_obj().map(<[(String, Json)]>::len), Some(5));
+    }
+
+    #[test]
+    fn as_u64_stops_below_two_to_the_53() {
+        let exact = parse("9007199254740991").unwrap();
+        assert_eq!(exact.as_u64(), Some(9_007_199_254_740_991));
+        // Both spellings parse to the same double; neither is exact.
+        for text in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551616",
+        ] {
+            assert_eq!(parse(text).unwrap().as_u64(), None, "{text}");
+        }
+        assert_eq!(Json::Num(-1.0).as_u64(), None);
+    }
+
+    #[test]
+    fn empty_containers() {
+        assert_eq!(Json::Arr(vec![]).to_string(), "[]");
+        assert_eq!(Json::Obj(vec![]).to_string(), "{}");
+    }
 
     #[test]
     fn parses_scalars_and_containers() {

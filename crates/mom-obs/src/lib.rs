@@ -1,7 +1,9 @@
-//! The workspace's observability layer, dependency-free like the rest of
-//! the hand-rolled infrastructure (HTTP, JSON, the artifact store codec).
+//! The workspace's observability layer and its one JSON module,
+//! dependency-free like the rest of the hand-rolled infrastructure (HTTP,
+//! the artifact store codec).
 //!
-//! Three facilities, all process-global and safe to use from any thread:
+//! Three observability facilities, all process-global and safe to use from
+//! any thread:
 //!
 //! * [`metrics`] — a registry of atomic counters, gauges and fixed-bucket
 //!   wall-time histograms, with label support and a [Prometheus text
@@ -18,10 +20,17 @@
 //! * [`log`] — leveled, UTC-timestamped log lines on stderr for the
 //!   `momsim serve` daemon (`--log-level`).
 //!
+//! And [`json`]: the [`Json`](json::Json) value, the pretty emitter, the
+//! strict parser and the string escaper every other crate uses.  It lives
+//! here because this is the lowest crate that writes JSON (the Chrome
+//! trace export escapes span names); the reports, the daemon's wire
+//! format and `momsim bench --check` all build on it.
+//!
 //! [`TierCounters`]: https://docs.rs/ (the `mom-store` counter struct)
 
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod trace;

@@ -12,6 +12,7 @@
 //! JSON (the `traceEvents` array form with `ph: "X"` complete events),
 //! loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 
+use crate::json;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -155,20 +156,6 @@ impl Drop for Span {
     }
 }
 
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 /// Serializes the ring buffer as Chrome trace-event JSON.  Events are
 /// emitted oldest-first; if the ring wrapped, a `momsim_dropped_events`
 /// metadata count records how many were lost.
@@ -191,11 +178,11 @@ pub fn export_chrome_trace() -> String {
             out.push(',');
         }
         first = false;
-        out.push_str("{\"name\":\"");
-        escape_json(&event.name, &mut out);
-        out.push_str("\",\"cat\":\"");
-        escape_json(event.cat, &mut out);
-        out.push_str("\",\"ph\":\"X\",\"ts\":");
+        out.push_str("{\"name\":");
+        json::write_string(&mut out, &event.name);
+        out.push_str(",\"cat\":");
+        json::write_string(&mut out, event.cat);
+        out.push_str(",\"ph\":\"X\",\"ts\":");
         out.push_str(&event.start_micros.to_string());
         out.push_str(",\"dur\":");
         out.push_str(&event.dur_micros.to_string());

@@ -2,8 +2,7 @@
 //! back to an equal tree and re-emits byte-identically; malformed input
 //! produces positioned errors, never a panic.
 
-use mom_bench::json::Json;
-use mom_serve::json::{parse, ParseError};
+use mom_obs::json::{parse, Json, ParseError};
 use proptest::prelude::*;
 
 /// Every committed report the sweep (and the perf harness) emits.

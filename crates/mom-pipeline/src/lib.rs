@@ -14,9 +14,9 @@
 //! * scan-free: the per-cycle work is event-driven (rename-time dependence
 //!   resolution, wakeup lists, a ready queue, a store-address queue, a
 //!   free-unit calendar and idle-cycle fast-forwarding — see [`ooo`]); the
-//!   original naive implementation is retained in [`reference`] as the
-//!   executable specification the optimised engine must match
-//!   cycle-for-cycle,
+//!   original naive implementation is retained in
+//!   [`reference`](mod@reference) as the executable specification the
+//!   optimised engine must match cycle-for-cycle,
 //! * fan-out: [`PipelineFanout`] drives several machine configurations (the
 //!   paper's "way 1/2/4/8" sweep) from one functional run, decoding each
 //!   entry once into a shared structure-of-arrays batch that every

@@ -1172,12 +1172,12 @@ const FANOUT_BATCH: usize = 256;
 ///
 /// The consumers advance in **lockstep over one decoded stream**: each
 /// entry is renamed once, appended to a shared structure-of-arrays
-/// [`DecodedBatch`], and once the batch fills (or the run ends) it is swept
+/// `DecodedBatch`, and once the batch fills (or the run ends) it is swept
 /// through the consumers one at a time.  The batch sweep — rather than
 /// feeding each entry to every consumer as it arrives — touches each
 /// decoded entry's cache lines once per batch instead of once per
 /// simulator, and keeps one simulator's window, queues and cache tables
-/// hot for [`FANOUT_BATCH`] consecutive entries.  Because every consumer
+/// hot for `FANOUT_BATCH` consecutive entries.  Because every consumer
 /// still observes the identical entry sequence, the per-configuration
 /// results are cycle-for-cycle identical to independent [`PipelineSim`]
 /// runs (the differential suite pins this); consumers simply lag the

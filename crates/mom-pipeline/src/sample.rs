@@ -11,7 +11,7 @@
 //!   the window and scheduler and are excluded from measurement, the next
 //!   `detailed` instructions contribute one CPI sample (measured as the
 //!   difference of two drain probes, see
-//!   [`PipelineSim::drained_cycle_count`]);
+//!   `PipelineSim::drained_cycle_count`);
 //! * **fast-forward spans** — the next `fastforward` instructions bypass
 //!   the window and issue machinery entirely and only replay their memory
 //!   accesses into the cache model, so the L1/L2 state a later interval

@@ -7,9 +7,10 @@
 use crate::client::{request_json_with, request_raw_with, RetryPolicy};
 use crate::serve::ServeConfig;
 use mom_bench::cli::{
-    configure_obs, configure_store, extract_obs_args, extract_store_args, finish_obs, CliError,
+    configure_obs, configure_store, extract_obs_args, extract_store_args, finish_obs,
+    split_axis_args, CliError,
 };
-use mom_bench::json::Json;
+use mom_obs::json::Json;
 use std::time::Duration;
 
 const DEFAULT_ADDR: &str = "127.0.0.1:5099";
@@ -231,95 +232,39 @@ fn run_stats(args: &[String]) -> Result<(), CliError> {
 }
 
 /// Builds the submission document from `momsim submit` arguments.
-/// A leading bare word is a registered experiment name; otherwise the
-/// axis flags mirror `momsim run` and are shipped as the wire axes object
-/// (the daemon validates values and reports the vocabulary on a typo).
+/// A leading bare word is a registered experiment name; otherwise the axis
+/// flags are split out by the argv reader `momsim run` uses
+/// ([`split_axis_args`]) and shipped as string tokens, uninterpreted: one
+/// token as a string, any other count as an array, a bare `--sampled` as
+/// `true`.
+/// The daemon reads them with the same [`ExperimentSpec::from_axes`] as
+/// `momsim run`, so both accept and reject the same grids.
+///
+/// [`ExperimentSpec::from_axes`]: mom_bench::ExperimentSpec::from_axes
 fn submit_body(args: &[String]) -> Result<(Json, Vec<String>), CliError> {
-    let mut pairs: Vec<(&'static str, Json)> = Vec::new();
-    let mut passthrough = Vec::new();
-    let mut it = args.iter().peekable();
-    if let Some(first) = it.peek() {
-        if !first.starts_with("--") {
-            let name = it.next().expect("peeked").clone();
-            passthrough.extend(it.cloned());
-            return Ok((Json::obj([("experiment", Json::str(name))]), passthrough));
-        }
+    if let Some(name) = args.first().filter(|first| !first.starts_with("--")) {
+        return Ok((
+            Json::obj([("experiment", Json::str(name.clone()))]),
+            args[1..].to_vec(),
+        ));
     }
-    let int_list = |flag: &str, value: &str| -> Result<Json, CliError> {
-        let items: Result<Vec<Json>, CliError> = value
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                s.trim()
-                    .parse::<u64>()
-                    .map(|n| Json::Num(n as f64))
-                    .map_err(|e| CliError::Usage(format!("{flag}: {e}")))
-            })
-            .collect();
-        Ok(Json::Arr(items?))
-    };
-    let str_list = |value: &str| -> Json {
-        Json::Arr(
-            value
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(|s| Json::str(s.trim()))
-                .collect(),
-        )
-    };
+    let (axes, rest) = split_axis_args(args)?;
+    let mut pairs = Vec::new();
+    let mut passthrough = Vec::new();
+    let mut it = rest.into_iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--wait" | "--json" => {
-                passthrough.push(flag.clone());
-                if flag == "--json" {
-                    match it.next() {
-                        Some(path) => passthrough.push(path.clone()),
-                        None => return Err(CliError::Usage("--json needs a path argument".into())),
-                    }
+            "--wait" => passthrough.push(flag),
+            "--json" | "--label" => {
+                let value = it
+                    .next()
+                    .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
+                if flag == "--label" {
+                    pairs.push(("label".to_string(), Json::Str(value)));
+                } else {
+                    passthrough.extend([flag, value]);
                 }
-                continue;
             }
-            _ => {}
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
-        match flag.as_str() {
-            "--label" => pairs.push(("label", Json::str(value.clone()))),
-            "--kernels" => pairs.push((
-                "kernels",
-                if value == "all" {
-                    Json::str("all")
-                } else {
-                    str_list(value)
-                },
-            )),
-            "--isas" => pairs.push((
-                "isas",
-                if value == "all" || value == "media" {
-                    Json::str(value.clone())
-                } else {
-                    str_list(value)
-                },
-            )),
-            "--widths" => pairs.push(("widths", int_list("--widths", value)?)),
-            "--memory" => pairs.push(("memory", str_list(value))),
-            "--rob" => pairs.push(("rob", int_list("--rob", value)?)),
-            "--lanes" => pairs.push(("lanes", int_list("--lanes", value)?)),
-            "--replication" => pairs.push((
-                "replication",
-                Json::Num(positive("--replication", value)? as f64),
-            )),
-            "--seed" => pairs.push((
-                "seed",
-                Json::Num(
-                    value
-                        .parse::<u64>()
-                        .map_err(|e| CliError::Usage(format!("--seed: {e}")))?
-                        as f64,
-                ),
-            )),
-            "--sampled" => pairs.push(("sampled", Json::str(value.clone()))),
             other => {
                 return Err(CliError::Usage(format!(
                     "unknown argument {other} (see `momsim help`)"
@@ -327,12 +272,20 @@ fn submit_body(args: &[String]) -> Result<(Json, Vec<String>), CliError> {
             }
         }
     }
+    for (axis, mut tokens) in axes {
+        let value = match tokens.len() {
+            0 if axis == "sampled" => Json::Bool(true),
+            1 => Json::Str(tokens.remove(0)),
+            _ => Json::Arr(tokens.into_iter().map(Json::Str).collect()),
+        };
+        pairs.push((axis, value));
+    }
     if pairs.is_empty() {
         return Err(CliError::Usage(
             "momsim submit needs an experiment name or axis flags (see `momsim help`)".into(),
         ));
     }
-    Ok((Json::obj(pairs), passthrough))
+    Ok((Json::Obj(pairs), passthrough))
 }
 
 fn get_u64(doc: &Json, key: &str) -> u64 {
@@ -530,7 +483,7 @@ fn run_report(args: &[String]) -> Result<(), CliError> {
     if status != 200 {
         let detail = std::str::from_utf8(&bytes)
             .ok()
-            .and_then(|text| crate::json::parse(text).ok())
+            .and_then(|text| mom_obs::json::parse(text).ok())
             .and_then(|doc| doc.get("error").and_then(Json::as_str).map(String::from))
             .unwrap_or_else(|| format!("HTTP {status}"));
         return Err(CliError::Io(format!("report '{name}': {detail}")));
@@ -576,6 +529,7 @@ fn run_shutdown(args: &[String]) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mom_bench::ExperimentSpec;
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -607,24 +561,110 @@ mod tests {
             "media",
             "--json",
             "o.json",
+            "--label",
+            "probe",
+            "--sampled",
         ]))
         .unwrap();
         assert_eq!(rest, strs(&["--json", "o.json"]));
-        assert_eq!(
-            body.get("kernels")
-                .and_then(Json::as_arr)
-                .map(<[Json]>::len),
-            Some(1)
-        );
+        assert_eq!(body.get("kernels").and_then(Json::as_str), Some("idct"));
         assert_eq!(body.get("isas").and_then(Json::as_str), Some("media"));
         assert_eq!(
-            body.get("widths").and_then(Json::as_arr).map(<[Json]>::len),
-            Some(2)
+            body.get("widths"),
+            Some(&Json::Arr(vec![Json::str("2"), Json::str("4")]))
         );
+        assert_eq!(body.get("label").and_then(Json::as_str), Some("probe"));
+        assert_eq!(body.get("sampled").and_then(Json::as_bool), Some(true));
 
         let err = submit_body(&strs(&[])).unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
         let err = submit_body(&strs(&["--frobnicate", "x"])).unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
+        let err = submit_body(&strs(&["--widths"])).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+    }
+
+    /// The spec `momsim run` builds from an argv.
+    fn run_spec(argv: &[&str]) -> Result<ExperimentSpec, String> {
+        mom_bench::cli::adhoc_run_args(&strs(argv))
+            .map(|(spec, _, _)| spec)
+            .map_err(|e| e.to_string())
+    }
+
+    /// The spec the daemon builds from what `momsim submit` sends for the
+    /// same argv: body, JSON text, parse, `parse_submit`.
+    fn submit_spec(argv: &[&str]) -> Result<ExperimentSpec, String> {
+        let (body, rest) = submit_body(&strs(argv)).map_err(|e| e.to_string())?;
+        assert!(rest.is_empty(), "{rest:?}");
+        let doc = mom_obs::json::parse(&body.pretty()).expect("submit emits valid JSON");
+        match crate::wire::parse_submit(&doc)? {
+            crate::wire::JobRequest::Grid { spec, .. } => Ok(spec),
+            other => Err(format!("expected a grid, got {other:?}")),
+        }
+    }
+
+    #[test]
+    fn run_and_submit_build_the_same_spec_from_axis_flags() {
+        let table: &[&[&str]] = &[
+            &["--kernels", "all"],
+            &["--isas", "media"],
+            &["--widths", "1,8"],
+            &["--memory", "12,cache"],
+            &["--rob", "32", "--lanes", "4"],
+            &["--replication", "100"],
+            &["--sampled"],
+            &["--sampled", "200:671:150"],
+            &[
+                "--kernels",
+                "idct,motion1",
+                "--isas",
+                "mom,mmx",
+                "--seed",
+                "7",
+            ],
+        ];
+        for argv in table {
+            let run = run_spec(argv).unwrap_or_else(|e| panic!("run {argv:?}: {e}"));
+            let submit = submit_spec(argv).unwrap_or_else(|e| panic!("submit {argv:?}: {e}"));
+            assert_eq!(run, submit, "{argv:?}");
+        }
+        assert_eq!(
+            run_spec(&["--sampled"]).unwrap().sampling,
+            Some(mom_pipeline::SamplingConfig::DEFAULT)
+        );
+        // Both reject bad values, a zero replication among them, with the
+        // same message.
+        for argv in [
+            &["--replication", "0"][..],
+            &["--widths", "x"],
+            &["--kernels", "fft"],
+            &["--kernels", ","],
+            &["--seed", "1,2"],
+        ] {
+            let run = run_spec(argv).unwrap_err();
+            let submit = submit_spec(argv).unwrap_err();
+            assert_eq!(run, submit, "{argv:?}");
+        }
+        assert!(run_spec(&["--replication", "0"])
+            .unwrap_err()
+            .contains("replication must be at least one instruction"));
+    }
+
+    #[test]
+    fn seeds_above_two_to_the_53_survive_submit() {
+        let argv = ["--kernels", "addblock", "--seed", "9007199254740993"];
+        let run = run_spec(&argv).unwrap();
+        assert_eq!(run.seed, 9_007_199_254_740_993);
+        assert_eq!(submit_spec(&argv).unwrap(), run);
+        let (body, _) = submit_body(&strs(&argv)).unwrap();
+        assert_eq!(
+            body.get("seed").and_then(Json::as_str),
+            Some("9007199254740993"),
+            "the seed travels as a decimal string"
+        );
+        // The integer form cannot carry it: the daemon names the string form.
+        let doc = mom_obs::json::parse("{\"seed\": 9007199254740993}").unwrap();
+        let err = crate::wire::parse_submit(&doc).unwrap_err();
+        assert!(err.contains("\"seed\": \""), "{err}");
     }
 }

@@ -11,7 +11,7 @@
 //! returned as-is; the daemon answered, so retrying cannot help.
 
 use crate::http::{read_response, HttpError};
-use mom_bench::json::Json;
+use mom_obs::json::Json;
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -165,7 +165,7 @@ pub fn request_json_with(
     }
     let text = std::str::from_utf8(&bytes)
         .map_err(|_| ClientError::Protocol(format!("{addr}: response body is not UTF-8")))?;
-    let doc = crate::json::parse(text)
+    let doc = mom_obs::json::parse(text)
         .map_err(|e| ClientError::Protocol(format!("{addr}: response is not valid JSON: {e}")))?;
     Ok((status, doc))
 }

@@ -5,7 +5,7 @@
 //! (`Connection: close`), a `Content-Length` body, and sane limits on head
 //! and body sizes.  Chunked encoding, keep-alive and TLS are out of scope.
 
-use mom_bench::json::Json;
+use mom_obs::json::Json;
 use std::io::{BufRead, Write};
 
 /// Longest accepted request line or header line, in bytes.
@@ -344,7 +344,7 @@ mod tests {
             .unwrap();
         let (status, body) = read_response(&mut Cursor::new(wire)).unwrap();
         assert_eq!(status, 202);
-        let doc = crate::json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+        let doc = mom_obs::json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
         assert_eq!(doc.get("job").and_then(Json::as_u64), Some(1));
     }
 }

@@ -263,7 +263,7 @@ pub fn recover(
             summary.jobs_skipped += 1;
             continue;
         }
-        let parsed = crate::json::parse(body)
+        let parsed = mom_obs::json::parse(body)
             .map_err(|e| e.to_string())
             .and_then(|doc| crate::wire::parse_submit(&doc));
         let request = match parsed {

@@ -10,15 +10,15 @@
 //! Results land in the store, so anything the daemon computes is served to
 //! later submissions (and to `momsim sweep`) for free.
 //!
-//! The wire format is the workspace's own JSON dialect: [`json`] is the
-//! hand-rolled parser matching the emitter in `mom_bench::json` (the build
-//! environment is offline, so there is no serialisation crate), [`http`]
-//! is a minimal HTTP/1.1 reader/writer over `std::net`, [`wire`] maps
-//! parsed documents to experiment specs and snapshots back to documents,
-//! [`queue`] is the deduplicating job queue plus worker pool (with
-//! supervised, retrying workers), [`journal`] is the crash-safe job
-//! journal recovery replays on startup, and [`serve`] binds them to a TCP
-//! listener.  [`client`] and [`cli`] are the `momsim submit` / `status` /
+//! The wire format is the workspace's own JSON dialect, [`mom_obs::json`]
+//! (the build environment is offline, so there is no serialisation
+//! crate); [`http`] is a minimal HTTP/1.1 reader/writer over `std::net`,
+//! [`wire`] turns parsed submissions into axis tokens for
+//! [`mom_bench::ExperimentSpec::from_axes`] — the same reader behind
+//! `momsim run` — and snapshots back into documents, [`queue`] is the
+//! deduplicating job queue plus worker pool (with supervised, retrying
+//! workers), [`journal`] is the crash-safe job journal recovery replays on
+//! startup, and [`serve()`] binds them to a TCP listener.  [`client`] and [`cli`] are the `momsim submit` / `status` /
 //! `report` / `shutdown` side.
 
 #![warn(missing_docs)]
@@ -27,12 +27,12 @@ pub mod cli;
 pub mod client;
 pub mod http;
 pub mod journal;
-pub mod json;
 pub mod queue;
 pub mod serve;
 pub mod wire;
 
 pub use journal::{Journal, Record, RecoverySummary};
-pub use json::{parse, ParseError};
+// Re-exported because the benchmark ledger (perfbench/layers) calls `mom_serve::json::parse`.
+pub use mom_obs::json;
 pub use queue::{Daemon, JobId, SubmitError, SubmitOutcome, Supervision};
 pub use serve::{serve, serve_with, serve_with_timeout, ServeConfig, Server};

@@ -22,8 +22,8 @@ use crate::http::{read_request_body, read_request_head, HttpError, Request, Resp
 use crate::journal::{self, Journal, Record};
 use crate::queue::{Daemon, Supervision};
 use crate::wire::{job_doc, job_entry, parse_submit};
-use mom_bench::json::Json;
 use mom_bench::{find_experiment, Report};
+use mom_obs::json::Json;
 use mom_store::faults::{self, FaultSite};
 use std::io::{BufReader, ErrorKind};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -439,7 +439,7 @@ fn submit_route(body: &[u8], daemon: &Daemon) -> Response {
         Ok(text) => text,
         Err(_) => return Response::error(400, "submission body is not UTF-8"),
     };
-    let doc = match crate::json::parse(text) {
+    let doc = match mom_obs::json::parse(text) {
         Ok(doc) => doc,
         Err(e) => return Response::error(400, format!("submission is not valid JSON: {e}")),
     };

@@ -1,21 +1,20 @@
 //! The wire vocabulary: JSON submissions in, JSON job documents out.
 //!
 //! A submission is either a registered experiment by name
-//! (`{"experiment": "fig4"}`) or an ad-hoc grid assembled from the same
-//! axis vocabulary `momsim run` parses on the command line — every axis
-//! value goes through the `FromStr` implementations of the domain types,
-//! so a typo produces an error listing the valid names.  Job documents are
-//! built from queue snapshots with the same row emitters the batch
+//! (`{"experiment": "fig4"}`) or an ad-hoc grid keyed by the axis names
+//! `momsim run` takes as flags.  The wire only turns each axis value into
+//! string tokens; [`ExperimentSpec::from_axes`], the reader `momsim run`
+//! and `momsim submit` share, parses them with the `FromStr`
+//! implementations of the domain types, so a typo produces an error
+//! listing the valid names.  Job documents are built from queue snapshots with the same row emitters the batch
 //! reports use ([`mom_bench::point_json`] / [`mom_bench::app_point_json`]),
 //! so a streamed row is field-identical to the committed `BENCH_*.json`
 //! row of the same point.
 
 use crate::queue::{JobKind, JobSnapshot, UnitResult};
-use mom_bench::json::Json;
+use mom_bench::spec::AXES;
 use mom_bench::{find_experiment, ExperimentSpec};
-use mom_isa::IsaKind;
-use mom_kernels::KernelId;
-use mom_pipeline::{MemoryModel, PipelineConfig, SamplingConfig};
+use mom_obs::json::Json;
 
 /// A validated submission, ready for the queue.
 #[derive(Debug, Clone)]
@@ -34,51 +33,12 @@ pub enum JobRequest {
     },
 }
 
-const AXIS_KEYS: &str =
-    "label, kernels, isas, widths, memory, rob, lanes, replication, seed, sampled";
-
-fn str_items<'a>(key: &str, value: &'a Json) -> Result<Vec<&'a str>, String> {
-    let items = value
-        .as_arr()
-        .ok_or_else(|| format!("\"{key}\" must be an array of strings"))?;
-    items
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .ok_or_else(|| format!("\"{key}\" must be an array of strings"))
-        })
-        .collect()
-}
-
-fn usize_items(key: &str, value: &Json) -> Result<Vec<usize>, String> {
-    let items = value
-        .as_arr()
-        .ok_or_else(|| format!("\"{key}\" must be an array of non-negative integers"))?;
-    items
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .map(|n| n as usize)
-                .ok_or_else(|| format!("\"{key}\" must be an array of non-negative integers"))
-        })
-        .collect()
-}
-
-fn parsed_list<T>(key: &str, names: &[&str]) -> Result<Vec<T>, String>
-where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
-{
-    if names.is_empty() {
-        return Err(format!("\"{key}\" needs at least one value"));
-    }
-    names
-        .iter()
-        .map(|name| name.parse().map_err(|e: T::Err| format!("{key}: {e}")))
-        .collect()
-}
-
 /// Parses a submission document into a [`JobRequest`].
+///
+/// An ad-hoc grid's axes are turned into string tokens and read by
+/// [`ExperimentSpec::from_axes`], the same function behind `momsim run`'s
+/// flags: each axis is a string, a non-negative integer below 2^53, or an
+/// array of those, and `sampled` may also be a boolean.
 pub fn parse_submit(doc: &Json) -> Result<JobRequest, String> {
     let pairs = doc.as_obj().ok_or("a submission must be a JSON object")?;
     if let Some(value) = doc.get("experiment") {
@@ -99,131 +59,56 @@ pub fn parse_submit(doc: &Json) -> Result<JobRequest, String> {
     }
 
     let mut label = "ad-hoc".to_string();
-    let mut spec = ExperimentSpec::default();
-    let mut widths = vec![4usize];
-    let mut memory = vec![MemoryModel::PERFECT];
-    let mut rob: Vec<Option<usize>> = vec![None];
-    let mut lanes: Vec<Option<usize>> = vec![None];
+    let mut axes = Vec::with_capacity(pairs.len());
     for (key, value) in pairs {
-        match key.as_str() {
-            "label" => {
+        match (key.as_str(), value) {
+            ("label", _) => {
                 label = value
                     .as_str()
                     .ok_or("\"label\" must be a string")?
                     .to_string();
             }
-            "kernels" => {
-                spec.kernels = match value.as_str() {
-                    Some("all") => KernelId::ALL.to_vec(),
-                    Some(other) => return Err(format!("kernels: unknown set '{other}'")),
-                    None => parsed_list("kernels", &str_items("kernels", value)?)?,
-                };
+            ("sampled", Json::Bool(false)) => {}
+            ("sampled", Json::Bool(true)) => axes.push((key.clone(), Vec::new())),
+            (axis, _) if AXES.contains(&axis) => {
+                axes.push((key.clone(), axis_tokens(axis, value)?));
             }
-            "isas" => {
-                spec.isas = match value.as_str() {
-                    Some("all") => IsaKind::ALL.to_vec(),
-                    Some("media") => IsaKind::MEDIA.to_vec(),
-                    Some(other) => return Err(format!("isas: unknown set '{other}'")),
-                    None => parsed_list("isas", &str_items("isas", value)?)?,
-                };
-            }
-            "widths" => {
-                widths = usize_items("widths", value)?;
-                if widths.is_empty() {
-                    return Err("\"widths\" needs at least one value".into());
-                }
-            }
-            "memory" => {
-                let items = value
-                    .as_arr()
-                    .ok_or("\"memory\" must be an array of model names or latencies")?;
-                memory = items
-                    .iter()
-                    .map(|v| {
-                        let text = match (v.as_str(), v.as_u64()) {
-                            (Some(name), _) => name.to_string(),
-                            (None, Some(latency)) => latency.to_string(),
-                            _ => {
-                                return Err(
-                                    "\"memory\" entries must be strings or integers".to_string()
-                                )
-                            }
-                        };
-                        text.parse::<MemoryModel>()
-                            .map_err(|e| format!("memory: {e}"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if memory.is_empty() {
-                    return Err("\"memory\" needs at least one value".into());
-                }
-            }
-            "rob" => {
-                rob = usize_items("rob", value)?.into_iter().map(Some).collect();
-                if rob.is_empty() {
-                    return Err("\"rob\" needs at least one value".into());
-                }
-            }
-            "lanes" => {
-                lanes = usize_items("lanes", value)?.into_iter().map(Some).collect();
-                if lanes.is_empty() {
-                    return Err("\"lanes\" needs at least one value".into());
-                }
-            }
-            "replication" => {
-                spec.replication = value
-                    .as_u64()
-                    .ok_or("\"replication\" must be a non-negative integer")?
-                    as usize;
-            }
-            "seed" => {
-                spec.seed = value
-                    .as_u64()
-                    .ok_or("\"seed\" must be a non-negative integer")?;
-            }
-            "sampled" => {
-                spec.sampling = Some(match (value.as_str(), value.as_bool()) {
-                    (Some(schedule), _) => schedule
-                        .parse::<SamplingConfig>()
-                        .map_err(|e| format!("sampled: {e}"))?,
-                    (None, Some(true)) => SamplingConfig::DEFAULT,
-                    (None, Some(false)) => {
-                        spec.sampling = None;
-                        continue;
-                    }
-                    _ => {
-                        return Err(
-                            "\"sampled\" must be a D:F:W schedule string or a boolean".into()
-                        )
-                    }
-                });
-            }
-            other => {
+            (other, _) => {
                 return Err(format!(
-                    "unknown key \"{other}\" (expected experiment, or any of: {AXIS_KEYS})"
+                    "unknown key \"{other}\" (expected experiment, or any of: label, {})",
+                    AXES.join(", ")
                 ));
             }
         }
     }
-    let mut configs = Vec::new();
-    for &width in &widths {
-        for &mem in &memory {
-            for &rob in &rob {
-                for &lanes in &lanes {
-                    let mut builder = PipelineConfig::builder().issue_width(width).memory(mem);
-                    if let Some(rob) = rob {
-                        builder = builder.rob(rob);
-                    }
-                    if let Some(lanes) = lanes {
-                        builder = builder.lanes(lanes);
-                    }
-                    configs.push(builder.build()?);
-                }
-            }
-        }
-    }
-    spec.configs = configs;
-    spec.validate()?;
+    let spec = ExperimentSpec::from_axes(&axes)?;
     Ok(JobRequest::Grid { label, spec })
+}
+
+/// One axis value as string tokens: a string or an integer is one token,
+/// an array one token per element.
+fn axis_tokens(axis: &str, value: &Json) -> Result<Vec<String>, String> {
+    let token = |item: &Json| match item {
+        Json::Str(text) => Ok(text.clone()),
+        Json::Num(n) => item.as_u64().map(|n| n.to_string()).ok_or_else(|| {
+            // `as_u64` refuses a non-negative integer only from 2^53 up.
+            if *n >= 0.0 && *n == n.trunc() {
+                format!(
+                    "\"{axis}\": integers from 2^53 up are not exact in JSON; send the \
+                     value as a decimal string, e.g. \"{axis}\": \"9007199254740993\""
+                )
+            } else {
+                format!("\"{axis}\": {n} is not a non-negative integer")
+            }
+        }),
+        _ => Err(format!(
+            "\"{axis}\" must be a string, a non-negative integer or an array of those"
+        )),
+    };
+    match value {
+        Json::Arr(items) => items.iter().map(token).collect(),
+        item => Ok(vec![token(item)?]),
+    }
 }
 
 /// Renders a queue snapshot as the `GET /jobs/<id>` document: counters,
@@ -288,6 +173,8 @@ pub fn job_entry(snapshot: &JobSnapshot) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mom_isa::IsaKind;
+    use mom_kernels::KernelId;
 
     /// The grid variant's parts, as a `Result` so tests can `?`/`unwrap`
     /// with a real error message instead of panicking in a match arm.

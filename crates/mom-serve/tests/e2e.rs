@@ -6,7 +6,7 @@
 //! The store is pointed at a private temp directory before anything
 //! touches the process-global instance.
 
-use mom_bench::json::Json;
+use mom_obs::json::Json;
 use mom_serve::client::request_json;
 use mom_serve::{serve, serve_with, Daemon, ServeConfig};
 use std::path::PathBuf;
@@ -209,7 +209,7 @@ fn daemon_round_trip_dedup_and_shutdown() {
         "a job whose queued units were dropped reads as cancelled"
     );
     let request =
-        mom_serve::wire::parse_submit(&mom_serve::json::parse(body).expect("valid submission"))
+        mom_serve::wire::parse_submit(&mom_obs::json::parse(body).expect("valid submission"))
             .expect("valid request");
     assert!(
         matches!(

@@ -4,7 +4,7 @@
 //! byte-identically to the committed `BENCH_fig4.json`, and recompute
 //! strictly fewer timing simulations than the full grid holds.
 
-use momsim::bench::json::Json;
+use momsim::obs::json::Json;
 use momsim::serve::client::{request_json_with, request_raw_with, RetryPolicy};
 use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};

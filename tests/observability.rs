@@ -8,7 +8,7 @@
 //! touches the process-global instance.
 
 use momsim::bench::cli::sweep_documents;
-use momsim::serve::json::parse;
+use momsim::obs::json::{parse, Json};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -69,27 +69,27 @@ fn tracing_is_neutral_and_the_chrome_export_is_well_formed() {
     let doc = parse(&exported).expect("the Chrome trace export must parse");
     let events = doc
         .get("traceEvents")
-        .and_then(momsim::bench::json::Json::as_arr)
+        .and_then(Json::as_arr)
         .expect("traceEvents must be an array");
     assert!(!events.is_empty(), "the trace must contain events");
     for event in events {
         assert_eq!(
-            event.get("ph").and_then(momsim::bench::json::Json::as_str),
+            event.get("ph").and_then(Json::as_str),
             Some("X"),
             "every event is a complete (X) event: {event:?}"
         );
         for key in ["name", "cat", "ts", "dur", "pid", "tid"] {
             assert!(event.get(key).is_some(), "event missing {key}: {event:?}");
         }
-        let ts = event.get("ts").and_then(momsim::bench::json::Json::as_u64);
+        let ts = event.get("ts").and_then(Json::as_u64);
         assert!(ts.is_some(), "ts must be a non-negative integer: {event:?}");
     }
     // The sweep-level spans fire regardless of cache state, so the sweep
     // category must be represented even on a fully warm sweep.
     assert!(
-        events.iter().any(|event| {
-            event.get("cat").and_then(momsim::bench::json::Json::as_str) == Some("sweep")
-        }),
+        events
+            .iter()
+            .any(|event| { event.get("cat").and_then(Json::as_str) == Some("sweep") }),
         "sweep spans must appear in the trace"
     );
 
