@@ -52,6 +52,22 @@ pub trait TraceSink {
             self.retire(*entry);
         }
     }
+
+    /// Consumes `times` back-to-back copies of the same run of retired
+    /// instructions — a replicated kernel invocation.
+    ///
+    /// Semantically identical to calling [`TraceSink::retire_many`]
+    /// `times` times, which is what the default implementation does.
+    /// Sinks whose state becomes periodic under a repeated input override
+    /// it to skip the repetition: [`TraceStats`] records one copy and
+    /// scales it, and `mom_pipeline`'s timing consumers stop simulating
+    /// once their machine state repeats and extrapolate the rest exactly.
+    /// [`Trace::replay_into`] feeds sinks through this hook.
+    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        for _ in 0..times {
+            self.retire_many(entries);
+        }
+    }
 }
 
 impl<S: TraceSink + ?Sized> TraceSink for &mut S {
@@ -61,6 +77,10 @@ impl<S: TraceSink + ?Sized> TraceSink for &mut S {
 
     fn retire_many(&mut self, entries: &[TraceEntry]) {
         (**self).retire_many(entries);
+    }
+
+    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        (**self).retire_repeated(entries, times);
     }
 }
 
@@ -73,6 +93,11 @@ impl<A: TraceSink, B: TraceSink> TraceSink for (A, B) {
     fn retire_many(&mut self, entries: &[TraceEntry]) {
         self.0.retire_many(entries);
         self.1.retire_many(entries);
+    }
+
+    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        self.0.retire_repeated(entries, times);
+        self.1.retire_repeated(entries, times);
     }
 }
 
@@ -88,6 +113,12 @@ impl<A: TraceSink, B: TraceSink, C: TraceSink> TraceSink for (A, B, C) {
         self.1.retire_many(entries);
         self.2.retire_many(entries);
     }
+
+    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        self.0.retire_repeated(entries, times);
+        self.1.retire_repeated(entries, times);
+        self.2.retire_repeated(entries, times);
+    }
 }
 
 impl<S: TraceSink> TraceSink for [S] {
@@ -102,6 +133,12 @@ impl<S: TraceSink> TraceSink for [S] {
             sink.retire_many(entries);
         }
     }
+
+    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        for sink in self.iter_mut() {
+            sink.retire_repeated(entries, times);
+        }
+    }
 }
 
 impl<S: TraceSink> TraceSink for Vec<S> {
@@ -111,6 +148,10 @@ impl<S: TraceSink> TraceSink for Vec<S> {
 
     fn retire_many(&mut self, entries: &[TraceEntry]) {
         self.as_mut_slice().retire_many(entries);
+    }
+
+    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        self.as_mut_slice().retire_repeated(entries, times);
     }
 }
 
@@ -294,15 +335,15 @@ impl Trace {
     /// this is how a memoised single-invocation trace stands in for a long
     /// steady-state stream at zero materialisation cost.
     ///
-    /// Each replication is handed to the sink as one slice through
-    /// [`TraceSink::retire_many`], so batch-oriented sinks (the timing
-    /// fan-out, the sampled simulator's fast-forward) process it at run
-    /// granularity; for everything else the default method degrades to
-    /// the per-entry loop.
+    /// The replications are handed to the sink in one
+    /// [`TraceSink::retire_repeated`] call, so sinks that can exploit the
+    /// repetition (trace statistics, the timing consumers' steady-state
+    /// extrapolation) see it whole; everything else gets one
+    /// [`TraceSink::retire_many`] slice per replication, which
+    /// batch-oriented sinks (the sampled simulator's fast-forward) process
+    /// at run granularity and the rest degrade to the per-entry loop.
     pub fn replay_into<S: TraceSink + ?Sized>(&self, times: usize, sink: &mut S) {
-        for _ in 0..times {
-            sink.retire_many(&self.entries);
-        }
+        sink.retire_repeated(&self.entries, times);
     }
 
     /// Computes the summary statistics of the trace.
@@ -351,6 +392,21 @@ pub struct TraceStats {
 impl TraceSink for TraceStats {
     fn retire(&mut self, entry: TraceEntry) {
         self.record(&entry);
+    }
+
+    /// Records one copy and scales it: every field is a sum, so `times`
+    /// copies contribute exactly `times` times one copy's totals.
+    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        let mut once = TraceStats::default();
+        once.retire_many(entries);
+        let times = times as u64;
+        self.instructions += once.instructions * times;
+        self.operations += once.operations * times;
+        self.media_instructions += once.media_instructions * times;
+        self.matrix_instructions += once.matrix_instructions * times;
+        self.memory_instructions += once.memory_instructions * times;
+        self.sum_vlx += once.sum_vlx * times;
+        self.sum_vly += once.sum_vly * times;
     }
 }
 
@@ -583,6 +639,32 @@ mod tests {
         }
         let batch: Trace = entries.into_iter().collect();
         assert_eq!(streamed, batch.stats());
+    }
+
+    #[test]
+    fn repeated_stats_scale_one_copy() {
+        let mom_load = Instruction::MomLoad {
+            md: 0,
+            base: 1,
+            stride: 2,
+            ty: ElemType::U8,
+        };
+        let body: Trace = vec![
+            entry(Instruction::Li { rd: 1, imm: 0 }, 1),
+            entry(mom_load, 7),
+            entry(Instruction::Nop, 1),
+        ]
+        .into_iter()
+        .collect();
+        for times in [0, 1, 3, 250] {
+            let mut scaled = TraceStats::default();
+            body.replay_into(times, &mut scaled);
+            let mut fed = TraceStats::default();
+            for _ in 0..times {
+                fed.retire_many(body.entries());
+            }
+            assert_eq!(scaled, fed, "x{times}");
+        }
     }
 
     #[test]

@@ -135,6 +135,9 @@ impl ExperimentSpec {
         if !unique(&self.isas) {
             return Err("duplicate ISA in the experiment grid".into());
         }
+        if !unique(&self.configs) {
+            return Err("duplicate machine configuration in the experiment grid".into());
+        }
         if self.replication == 0 {
             return Err("replication must be at least one instruction".into());
         }
@@ -634,6 +637,14 @@ mod tests {
             ..ExperimentSpec::default()
         };
         assert!(dup.validate().is_err());
+        let dup_config = ExperimentSpec {
+            configs: vec![PipelineConfig::way(4), PipelineConfig::way(4)],
+            ..ExperimentSpec::default()
+        };
+        assert_eq!(
+            dup_config.validate(),
+            Err("duplicate machine configuration in the experiment grid".into())
+        );
         let none = ExperimentSpec {
             configs: vec![],
             ..ExperimentSpec::default()

@@ -122,7 +122,7 @@ impl CacheStats {
 
 /// Runtime state of one level: per-set tag lists in LRU order (front =
 /// most recently used).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct CacheLevel {
     config: CacheConfig,
     /// `log2(line_bytes)` when the line size is a power of two, so the
@@ -181,7 +181,10 @@ impl CacheLevel {
 }
 
 /// The simulated L1/L2 data-cache hierarchy owned by one timing consumer.
-#[derive(Debug, Clone)]
+///
+/// Two hierarchies are equal when their geometry, every set's tags in LRU
+/// order and the hit/miss counters agree.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSim {
     l1: CacheLevel,
     l2: CacheLevel,
@@ -218,6 +221,19 @@ impl CacheSim {
     /// multi-phase run starts a new phase's accounting on a warm hierarchy.
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
+    }
+
+    /// Appends the tag state of both levels — every set's length and tags,
+    /// most recently used first — to a steady-state fingerprint (see
+    /// [`crate::ooo`]).  The counters are not state: they never influence
+    /// an access.
+    pub(crate) fn fingerprint(&self, words: &mut Vec<u64>) {
+        for level in [&self.l1, &self.l2] {
+            for set in &level.sets {
+                words.push(set.len() as u64);
+                words.extend_from_slice(set);
+            }
+        }
     }
 
     /// The latency of an access that hits in L1 (also charged to memory

@@ -123,7 +123,9 @@ pub use cache::{CacheConfig, CacheSim, CacheStats, HierarchyConfig};
 pub use config::{
     FuPool, MemoryModel, ParseMemoryModelError, PipelineConfig, PipelineConfigBuilder,
 };
-pub use ooo::{timing_simulations, Pipeline, PipelineFanout, PipelineSim};
+pub use ooo::{
+    invocations_extrapolated, timing_simulations, Pipeline, PipelineFanout, PipelineSim,
+};
 pub use reference::ReferenceSim;
 pub use sample::{SampledFanout, SampledSim, SamplingConfig};
 pub use stats::{SamplingEstimate, SimResult};

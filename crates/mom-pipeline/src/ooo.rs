@@ -48,8 +48,63 @@
 //! trace.  The issue stage additionally enforces **memory ordering**: a load
 //! may not issue past an older store that has not completed unless both
 //! addresses are known and disjoint (there is no store-to-load forwarding).
+//!
+//! # Steady-state extrapolation
+//!
+//! The experiment drivers time one verified kernel invocation replayed
+//! until the stream is long enough (a MOM invocation of 16 instructions is
+//! replayed ~250 times).  Such a stream reaches [`TraceSink::retire_repeated`],
+//! and the consumers here ([`PipelineSim`], [`PipelineFanout`]) stop
+//! simulating it once the machine state repeats, with no loss of exactness.
+//!
+//! The invocation is decoded **once** with dependences as *distances* (how
+//! many entries back each source's producer is), so every copy after the
+//! first is the same decoded input.  At each invocation boundary a consumer
+//! encodes everything that can influence its future:
+//!
+//! * the window entries, in order, named by their offset from the next
+//!   sequence number (at a boundary that is a whole number of invocations,
+//!   so an offset always names the same body position, and the
+//!   position-determined fields — class, occupancy, operations, flags,
+//!   byte span — agree by construction); per entry its latency (cache
+//!   dependent), unresolved-producer count, operand-ready cycle, issue
+//!   state, completion cycle and wakeup list,
+//! * the dispatch boundary, the ready list and its per-class counts, the
+//!   future heap as a sorted multiset, and the store queue,
+//! * the free functional units per class and every pending calendar and
+//!   overflow free event,
+//! * the data-cache tags of every set, in LRU order.
+//!
+//! Sequence numbers are encoded relative to the next one and cycles
+//! relative to the current one, which makes the encoding **translation
+//! invariant**: the engine only ever compares cycles with cycles and
+//! sequence numbers with sequence numbers, so two states that differ by a
+//! constant shift of both behave identically forever after.  Cycles
+//! already in the past are **clamped** to "now": such values are only
+//! compared with `<= cycle` (always true from now on) or folded by `max`
+//! with a completion cycle that lies in the future, so clamping them
+//! changes no decision.  Free events already due are folded into the free
+//! counts for the same reason (the next drain folds them before any
+//! issue).  The `next_completion` / `next_fu_free` watermarks are only
+//! lower bounds for the idle fast-forward — a lower watermark costs an
+//! extra empty cycle step that counts the same stall cycles the jump would
+//! have — so they stay out of the encoding.
+//!
+//! A hash of the encoding proposes a period `p` (the same hash seen `p`
+//! boundaries earlier); the full encoding at that boundary is kept and
+//! compared exactly with the one `p` invocations later.  Equal encodings
+//! and an identical input make the machine periodic from there on, so the
+//! consumer simulates only `remaining mod p` more invocations and adds
+//! `remaining div p` times the period's increment to every additive
+//! counter: cycles, committed instructions, operations, media and memory
+//! counts, dispatch stalls, functional-unit busy cycles and cache hits and
+//! misses.  The reorder-buffer high-water mark is already exact (every
+//! skipped state repeats one already simulated), and so are the final
+//! cache contents (equal at every period boundary).  Detection stops after
+//! a bounded number of boundaries and is skipped below three invocations;
+//! the memory it holds is one saved encoding plus a hash per boundary.
 
-use crate::cache::CacheSim;
+use crate::cache::{CacheSim, CacheStats};
 use crate::config::PipelineConfig;
 use crate::stats::SimResult;
 use mom_arch::{Trace, TraceEntry, TraceSink};
@@ -77,6 +132,30 @@ fn timing_simulations_counter() -> &'static mom_obs::Counter {
 pub fn timing_simulations() -> u64 {
     timing_simulations_counter().get()
 }
+
+/// Process-wide count of replicated invocations whose timing was
+/// extrapolated from a detected steady-state period instead of simulated
+/// (see the module docs), registered as
+/// `momsim_timing_invocations_extrapolated_total`.
+fn invocations_extrapolated_counter() -> &'static mom_obs::Counter {
+    static COUNTER: std::sync::OnceLock<mom_obs::Counter> = std::sync::OnceLock::new();
+    COUNTER.get_or_init(|| {
+        mom_obs::counter(
+            "momsim_timing_invocations_extrapolated_total",
+            "Replicated kernel invocations timed by steady-state extrapolation instead of simulated.",
+        )
+    })
+}
+
+/// The number of replicated invocations this process has extrapolated
+/// instead of simulating them.
+pub fn invocations_extrapolated() -> u64 {
+    invocations_extrapolated_counter().get()
+}
+
+/// Invocation boundaries a consumer fingerprints before it gives up
+/// looking for a steady state.
+const MAX_FINGERPRINTED_BOUNDARIES: usize = 64;
 
 /// Number of distinct register ids (see `mom_isa::Reg::id`).
 const REG_ID_SPACE: usize = 256;
@@ -151,15 +230,17 @@ struct StoreRecord {
     complete_cycle: u64,
 }
 
-/// A trace entry decoded once per stream position: renaming (producer
-/// sequence numbers) and instruction metadata do not depend on the machine
+/// A trace entry decoded once per stream position: renaming (dependence
+/// distances) and instruction metadata do not depend on the machine
 /// configuration, so a fan-out over many configurations computes them a
 /// single time ([`Renamer::decode`]) and feeds the decoded form to every
 /// consumer ([`PipelineSim::feed_decoded`]).
 #[derive(Debug, Clone, Copy)]
 struct DecodedEntry {
-    /// Sequence numbers of the producers of each source register (with
-    /// duplicates when two sources share a producer).
+    /// How many entries back the producer of each source register is (with
+    /// duplicates when two sources share a producer).  Distances rather
+    /// than sequence numbers make one decoded invocation valid for every
+    /// copy of it in a replicated stream.
     deps: [u64; 4],
     /// Number of valid entries in `deps`.
     dep_count: u8,
@@ -198,8 +279,8 @@ const DECODED_STORE: u8 = 1 << 3;
 ///
 /// The fan-out's consumers advance over one decoded stream; everything
 /// configuration-independent about a stream position — the dependence
-/// edges (producer sequence numbers), operand metadata and the traced
-/// memory access — is stored **once** here, as parallel columns, while the
+/// distances, operand metadata and the traced memory access — is stored
+/// **once** here, as parallel columns, while the
 /// per-configuration state (window entries, wakeup lists, queues) lives in
 /// each consumer.  Sweeping a whole batch through one consumer at a time
 /// means each decoded column is streamed sequentially and touched once per
@@ -207,7 +288,7 @@ const DECODED_STORE: u8 = 1 << 3;
 /// hot in cache for the length of the sweep.
 #[derive(Debug, Clone, Default)]
 struct DecodedBatch {
-    /// Producer sequence numbers of each entry's sources.
+    /// Dependence distances of each entry's sources.
     deps: Vec<[u64; 4]>,
     /// Number of valid entries in the `deps` row.
     dep_count: Vec<u8>,
@@ -344,7 +425,7 @@ impl Renamer {
                     "more producers than dependence slots for {instr:?}"
                 );
                 if (dep_count as usize) < deps.len() {
-                    deps[dep_count as usize] = w;
+                    deps[dep_count as usize] = seq - w;
                     dep_count += 1;
                 }
             }
@@ -367,6 +448,44 @@ impl Renamer {
             mem: entry.mem,
             mem_span: entry.mem.map(|m| m.span()),
         }
+    }
+
+    /// Decodes one invocation of a stream that replays it `times` times
+    /// back to back (`times >= 2`), **once**: the result is the decoded
+    /// form of every copy after the first, and afterwards the scoreboard
+    /// stands as if all `times` copies had been decoded.
+    ///
+    /// The renamer must be fresh.  The copy is decoded as the second one,
+    /// behind the writers of a first, so a source produced late in the
+    /// previous copy gets its cross-invocation distance.  In the first copy
+    /// that distance reaches before the start of the stream, where a fresh
+    /// renamer has no writer; [`PipelineSim::feed_decoded`] drops such a
+    /// dependence, so the same decoded body serves the first copy too.
+    fn decode_replicated(&mut self, entries: &[TraceEntry], times: usize) -> DecodedBatch {
+        debug_assert_eq!(
+            self.next_seq, 0,
+            "replicated decoding needs a fresh renamer"
+        );
+        debug_assert!(times >= 2, "the body is decoded as the second copy");
+        let len = entries.len() as u64;
+        for (position, entry) in entries.iter().enumerate() {
+            for reg in entry.instr.dests().iter() {
+                if !reg.is_zero() {
+                    self.last_writer[reg.id()] = Some(position as u64);
+                }
+            }
+        }
+        self.next_seq = len;
+        let mut body = DecodedBatch::with_capacity(entries.len());
+        for entry in entries {
+            body.push(&self.decode(entry));
+        }
+        let skipped = (times as u64 - 2) * len;
+        self.next_seq += skipped;
+        for writer in self.last_writer.iter_mut().flatten() {
+            *writer += skipped;
+        }
+        body
     }
 }
 
@@ -476,6 +595,53 @@ impl FuTracker {
             (a, b) => a.or(b),
         }
     }
+
+    /// Appends the canonical encoding of the availability state as seen at
+    /// cycle `now` (before that cycle's drain): the free units per class,
+    /// counting every event already due as free, then each future event as
+    /// `(cycles ahead, class, units)`, calendar and overflow alike.
+    fn fingerprint(&self, now: u64, words: &mut Vec<u64>, pending: &mut Vec<(u64, u64)>) {
+        let mut free = self.free;
+        pending.clear();
+        // The calendar holds events at `drained_cycle + 1 ..
+        // drained_cycle + CALENDAR_SLOTS` only (issue schedules them
+        // 1..CALENDAR_SLOTS cycles after a drain).
+        for t in self.drained_cycle + 1..self.drained_cycle + CALENDAR_SLOTS {
+            let row = &self.calendar[(t % CALENDAR_SLOTS) as usize];
+            for (class, &units) in row.iter().enumerate() {
+                if units == 0 {
+                    continue;
+                }
+                if t <= now {
+                    free[class] += units;
+                } else {
+                    pending.push(((t - now) << 8 | class as u64, units as u64));
+                }
+            }
+        }
+        for &Reverse((t, class)) in &self.overflow {
+            if t <= now {
+                free[class as usize] += 1;
+            } else {
+                pending.push(((t - now) << 8 | class as u64, 1));
+            }
+        }
+        // Merge calendar and overflow events of the same cycle and class.
+        pending.sort_unstable();
+        pending.dedup_by(|later, earlier| {
+            let same = later.0 == earlier.0;
+            if same {
+                earlier.1 += later.1;
+            }
+            same
+        });
+        words.extend(free.iter().map(|&units| units as u64));
+        words.push(pending.len() as u64);
+        for &(when, units) in pending.iter() {
+            words.push(when);
+            words.push(units);
+        }
+    }
 }
 
 /// The incremental out-of-order timing consumer.
@@ -556,8 +722,50 @@ pub struct PipelineSim {
     committed: u64,
     /// Current cycle.
     cycle: u64,
+    /// Cycles of the periods skipped by steady-state extrapolation (see the
+    /// module docs): the simulated clock runs on without them and the
+    /// reported cycle count adds them back.
+    extrapolated_cycles: u64,
+    /// Invocation boundaries fingerprinted so far.
+    fingerprints: u64,
     /// Statistics accumulated at commit.
     result: SimResult,
+}
+
+/// The additive counters of a consumer at one invocation boundary: what
+/// steady-state extrapolation multiplies by the number of skipped periods.
+#[derive(Debug, Clone, Copy)]
+struct Progress {
+    cycle: u64,
+    instructions: u64,
+    operations: u64,
+    media_instructions: u64,
+    memory_instructions: u64,
+    dispatch_stall_cycles: u64,
+    fu_busy: [u64; FuClass::COUNT],
+    cache: CacheStats,
+}
+
+/// A period proposed by a repeated fingerprint hash, awaiting its exact
+/// confirmation one period after `boundary`.
+#[derive(Debug)]
+struct Candidate {
+    /// The invocation boundary the period was proposed at.
+    boundary: usize,
+    /// The proposed period, in invocations.
+    period: usize,
+    /// The full state encoding at `boundary`.
+    words: Vec<u64>,
+    /// The additive counters at `boundary`.
+    progress: Progress,
+}
+
+/// The fingerprint hash: a fast multiply-rotate fold that only has to
+/// *propose* periods — an exact comparison confirms them.
+fn hash_words(words: &[u64]) -> u64 {
+    words.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &word| {
+        (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
 }
 
 impl PipelineSim {
@@ -609,6 +817,8 @@ impl PipelineSim {
             next_dispatch: 0,
             committed: 0,
             cycle: 0,
+            extrapolated_cycles: 0,
+            fingerprints: 0,
             result: SimResult::default(),
             config,
         }
@@ -711,7 +921,13 @@ impl PipelineSim {
         // to this entry and is counted in `unresolved_deps`.
         let mut unresolved_deps = 0u8;
         let mut operand_ready_cycle = 0u64;
-        for &w in &decoded.deps[..decoded.dep_count as usize] {
+        for &distance in &decoded.deps[..decoded.dep_count as usize] {
+            // A distance reaching before this consumer's first entry names
+            // a producer it never saw (the first copy of a replicated
+            // invocation, see `Renamer::decode_replicated`): no dependence.
+            let Some(w) = seq.checked_sub(distance) else {
+                continue;
+            };
             if w < self.committed {
                 continue;
             }
@@ -782,6 +998,169 @@ impl PipelineSim {
         }
     }
 
+    /// Times `times` back-to-back copies of one decoded invocation
+    /// (from [`Renamer::decode_replicated`], on a consumer that has seen
+    /// nothing yet), extrapolating exactly once the machine state repeats
+    /// at an invocation boundary (see the module docs).
+    fn replay_periodic(&mut self, body: &DecodedBatch, times: usize) {
+        debug_assert_eq!(self.next_seq, 0, "periodic replay needs a fresh consumer");
+        let mut hashes: Vec<(usize, u64)> = Vec::new();
+        let mut candidate: Option<Candidate> = None;
+        let mut words = Vec::new();
+        let mut pending = Vec::new();
+        // Boundary `b` is the state after `b` copies.  Boundary 0 is not
+        // encoded: only from boundary 1 on is the future input all full
+        // copies (the first copy drops its cross-invocation dependences).
+        for boundary in 1..=times {
+            self.feed_batch(body);
+            let remaining = times - boundary;
+            // While a period awaits confirmation, only its confirming
+            // boundary is encoded.  Otherwise a boundary is encoded while a
+            // period proposed from it could still be confirmed one period
+            // later and leave at least one period to skip.
+            let due = candidate
+                .as_ref()
+                .map_or(remaining >= 2, |c| boundary == c.boundary + c.period);
+            if !due || boundary > MAX_FINGERPRINTED_BOUNDARIES {
+                continue;
+            }
+            let hash = self.fingerprint(&mut words, &mut pending);
+            if let Some(c) = candidate.take() {
+                if words == c.words {
+                    let periods = remaining / c.period;
+                    self.extrapolate(&c.progress, periods as u64);
+                    invocations_extrapolated_counter().add((periods * c.period) as u64);
+                    for _ in 0..remaining % c.period {
+                        self.feed_batch(body);
+                    }
+                    return;
+                }
+                // A hash collision: keep looking.
+            }
+            if let Some(&(earlier, _)) = hashes.iter().rev().find(|&&(_, h)| h == hash) {
+                let period = boundary - earlier;
+                if remaining >= 2 * period {
+                    candidate = Some(Candidate {
+                        boundary,
+                        period,
+                        words: std::mem::take(&mut words),
+                        progress: self.progress(),
+                    });
+                }
+            }
+            hashes.push((boundary, hash));
+        }
+    }
+
+    /// The additive counters as they stand.
+    fn progress(&self) -> Progress {
+        Progress {
+            cycle: self.cycle,
+            instructions: self.result.instructions,
+            operations: self.result.operations,
+            media_instructions: self.result.media_instructions,
+            memory_instructions: self.result.memory_instructions,
+            dispatch_stall_cycles: self.result.dispatch_stall_cycles,
+            fu_busy: self.fu_busy_acc,
+            cache: self
+                .dcache
+                .as_ref()
+                .map_or_else(CacheStats::default, |c| c.stats),
+        }
+    }
+
+    /// Credits `periods` more repetitions of the period that began at
+    /// `start` and ends now: each additive counter grows by `periods`
+    /// times its increment over the period.
+    fn extrapolate(&mut self, start: &Progress, periods: u64) {
+        let now = self.progress();
+        let scaled = |from: u64, to: u64| (to - from) * periods;
+        self.extrapolated_cycles += scaled(start.cycle, now.cycle);
+        let r = &mut self.result;
+        r.instructions += scaled(start.instructions, now.instructions);
+        r.operations += scaled(start.operations, now.operations);
+        r.media_instructions += scaled(start.media_instructions, now.media_instructions);
+        r.memory_instructions += scaled(start.memory_instructions, now.memory_instructions);
+        r.dispatch_stall_cycles += scaled(start.dispatch_stall_cycles, now.dispatch_stall_cycles);
+        for (busy, (from, to)) in self
+            .fu_busy_acc
+            .iter_mut()
+            .zip(start.fu_busy.iter().zip(&now.fu_busy))
+        {
+            *busy += scaled(*from, *to);
+        }
+        if let Some(cache) = &mut self.dcache {
+            let (from, to) = (start.cache, now.cache);
+            cache.stats.merge(&CacheStats {
+                l1_hits: scaled(from.l1_hits, to.l1_hits),
+                l1_misses: scaled(from.l1_misses, to.l1_misses),
+                l2_hits: scaled(from.l2_hits, to.l2_hits),
+                l2_misses: scaled(from.l2_misses, to.l2_misses),
+            });
+        }
+    }
+
+    /// Encodes the state at an invocation boundary into `words` (see the
+    /// module docs for what is encoded and why that suffices) and returns
+    /// its hash.  `pending` is scratch space.
+    fn fingerprint(&mut self, words: &mut Vec<u64>, pending: &mut Vec<(u64, u64)>) -> u64 {
+        self.fingerprints += 1;
+        let now = self.cycle;
+        let next = self.next_seq;
+        let relative = |cycle: u64| cycle.saturating_sub(now);
+        words.clear();
+        words.push(self.insts.len() as u64);
+        words.push(self.pending_len() as u64);
+        for e in &self.insts {
+            words.push(e.latency);
+            words.push(e.unresolved_deps as u64 | (e.issued as u64) << 8);
+            words.push(relative(e.operand_ready_cycle));
+            words.push(if e.issued {
+                relative(e.complete_cycle)
+            } else {
+                u64::MAX
+            });
+            let count_at = words.len();
+            words.push(0);
+            let mut edge = e.consumer_head;
+            while edge != EDGE_NONE {
+                let node = self.edges[edge as usize];
+                words.push(next - node.consumer);
+                edge = node.next;
+            }
+            words[count_at] = (words.len() - count_at - 1) as u64;
+        }
+        words.push(self.ready.len() as u64);
+        words.extend(self.ready.iter().map(|&seq| next - seq));
+        words.extend(self.ready_counts.iter().map(|&n| n as u64));
+        pending.clear();
+        pending.extend(
+            self.future
+                .iter()
+                .map(|&Reverse((cycle, seq))| (relative(cycle), next - seq)),
+        );
+        pending.sort_unstable();
+        words.push(pending.len() as u64);
+        for &(cycle, age) in pending.iter() {
+            words.push(cycle);
+            words.push(age);
+        }
+        words.push(self.store_queue.len() as u64);
+        for store in &self.store_queue {
+            words.push(next - store.seq);
+            words.push(if store.complete_cycle == u64::MAX {
+                u64::MAX
+            } else {
+                relative(store.complete_cycle)
+            });
+        }
+        self.fu.fingerprint(now, words, pending);
+        if let Some(cache) = &self.dcache {
+            cache.fingerprint(words);
+        }
+        hash_words(words)
+    }
+
     /// The measurement probe of the sampling driver ([`crate::sample`]):
     /// the cycle count the engine would report if the stream ended at the
     /// entries fed so far.  Clones the consumer — minus the cache
@@ -797,7 +1176,7 @@ impl PipelineSim {
         while probe.committed < probe.next_seq {
             probe.step_cycle();
         }
-        probe.cycle
+        probe.cycle + probe.extrapolated_cycles
     }
 
     /// Runs the simulation to completion and returns the result.
@@ -813,7 +1192,7 @@ impl PipelineSim {
         while self.committed < self.next_seq {
             self.step_cycle();
         }
-        self.result.cycles = self.cycle;
+        self.result.cycles = self.cycle + self.extrapolated_cycles;
         for (index, &busy) in self.fu_busy_acc.iter().enumerate() {
             if busy > 0 {
                 self.result.fu_busy_cycles.insert(FuClass::ALL[index], busy);
@@ -1157,6 +1536,21 @@ impl TraceSink for PipelineSim {
     fn retire(&mut self, entry: TraceEntry) {
         self.feed(entry);
     }
+
+    /// Decodes the invocation once and times the copies with steady-state
+    /// extrapolation (see the module docs) when this consumer has seen
+    /// nothing yet and there are at least three copies; otherwise feeds
+    /// them one by one.
+    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        if times < 3 || entries.is_empty() || self.next_seq != 0 {
+            for _ in 0..times {
+                self.retire_many(entries);
+            }
+            return;
+        }
+        let body = self.renamer.decode_replicated(entries, times);
+        self.replay_periodic(&body, times);
+    }
 }
 
 /// How many decoded entries [`PipelineFanout`] accumulates before sweeping
@@ -1267,6 +1661,25 @@ impl PipelineFanout {
 impl TraceSink for PipelineFanout {
     fn retire(&mut self, entry: TraceEntry) {
         self.feed(entry);
+    }
+
+    /// Decodes the invocation **once** for every consumer, with dependence
+    /// distances instead of re-renaming each copy, and sweeps the shared
+    /// body through one consumer at a time, each running to its own steady
+    /// state and extrapolating from there (see the module docs).  A
+    /// fan-out that has already been fed, or fewer than three copies, goes
+    /// through the lockstep batches instead.
+    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        if times < 3 || entries.is_empty() || self.renamer.next_seq != 0 {
+            for _ in 0..times {
+                self.retire_many(entries);
+            }
+            return;
+        }
+        let body = self.renamer.decode_replicated(entries, times);
+        for sim in &mut self.sims {
+            sim.replay_periodic(&body, times);
+        }
     }
 }
 
@@ -2063,6 +2476,196 @@ mod tests {
         let resumed = resumed.finish();
         assert_eq!(fresh.cycles, resumed.cycles);
         assert_eq!(resumed.cache, Default::default());
+    }
+
+    // -----------------------------------------------------------------
+    // Steady-state extrapolation (`TraceSink::retire_repeated`).
+    // -----------------------------------------------------------------
+
+    /// A small loop body: a load feeding an add chain, a store the next
+    /// copy's load must order against, a matrix op and a transpose — so a
+    /// steady state involves wakeups, the store queue, multi-cycle
+    /// occupancy and the cache.
+    fn loop_body() -> Trace {
+        vec![
+            entry_at(load(1, 10), 1, MemAccess::unit(0x1000, 8, false)),
+            entry(add(2, 1, 2), 1),
+            entry(add(3, 2, 1), 1),
+            entry_at(store(3, 11), 1, MemAccess::unit(0x1008, 8, true)),
+            entry_at(load(4, 12), 1, MemAccess::unit(0x1008, 8, false)),
+            entry(
+                Instruction::MomOp {
+                    op: PackedOp::Add(Overflow::Wrap),
+                    ty: ElemType::U8,
+                    md: 0,
+                    ma: 0,
+                    mb: MomOperand::Mat(1),
+                },
+                12,
+            ),
+            entry(
+                Instruction::MomTranspose {
+                    md: 2,
+                    ms: 0,
+                    ty: ElemType::U8,
+                },
+                1,
+            ),
+            entry(add(10, 10, 4), 1),
+        ]
+        .into_iter()
+        .collect()
+    }
+
+    /// Times `times` copies of `body` both ways: through
+    /// `retire_repeated` and entry by entry.
+    fn repeated_and_fed(
+        config: &PipelineConfig,
+        body: &Trace,
+        times: usize,
+    ) -> (PipelineSim, PipelineSim) {
+        let mut repeated = PipelineSim::new(config.clone());
+        body.replay_into(times, &mut repeated);
+        let mut fed = PipelineSim::new(config.clone());
+        for _ in 0..times {
+            for e in body.iter() {
+                fed.feed(*e);
+            }
+        }
+        (repeated, fed)
+    }
+
+    #[test]
+    fn a_single_copy_is_never_fingerprinted() {
+        // `momsim bench` times the engine by replaying a materialised
+        // steady-state stream once per pass: that must stay a per-cycle
+        // simulation, not a steady-state detector.
+        let mut long = Trace::new();
+        for _ in 0..50 {
+            long.extend(&loop_body());
+        }
+        let configs = [MemoryModel::PERFECT, MemoryModel::CACHE]
+            .map(|memory| PipelineConfig::way_with_memory(4, memory));
+        for config in &configs {
+            let mut sim = PipelineSim::new(config.clone());
+            long.replay_into(1, &mut sim);
+            assert_eq!(sim.fingerprints, 0, "memory {}", config.memory);
+            assert_eq!(sim.extrapolated_cycles, 0);
+        }
+        let mut fanout = PipelineFanout::new(configs.iter().cloned());
+        long.replay_into(1, &mut fanout);
+        assert!(fanout.sims.iter().all(|sim| sim.fingerprints == 0));
+    }
+
+    #[test]
+    fn replicated_copies_extrapolate_exactly() {
+        let body = loop_body();
+        for memory in [
+            MemoryModel::PERFECT,
+            MemoryModel::MAIN_MEMORY,
+            MemoryModel::CACHE,
+        ] {
+            let config = PipelineConfig::way_with_memory(4, memory);
+            for times in [1, 2, 3, 4, 5, 9, 50, 200] {
+                let (repeated, fed) = repeated_and_fed(&config, &body, times);
+                assert_eq!(
+                    repeated.fingerprints > 0,
+                    times >= 3,
+                    "memory {memory} x{times}: detection runs from three copies on"
+                );
+                if times >= 50 {
+                    assert!(
+                        repeated.extrapolated_cycles > 0,
+                        "memory {memory} x{times}: the loop must reach a steady state"
+                    );
+                }
+                assert_eq!(
+                    repeated.into_parts(),
+                    fed.into_parts(),
+                    "memory {memory} x{times}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn long_functional_unit_occupancy_extrapolates_exactly() {
+        // A non-pipelined transpose unit busy for longer than the free-event
+        // calendar spans schedules its free events on the overflow heap,
+        // which the fingerprint must encode as well.
+        let mut config = PipelineConfig::way(4);
+        config.media_transpose.latency = CALENDAR_SLOTS + 17;
+        let body = loop_body();
+        for times in [3, 10, 60] {
+            let (repeated, fed) = repeated_and_fed(&config, &body, times);
+            let mut reference = ReferenceSim::new(config.clone());
+            for _ in 0..times {
+                for e in body.iter() {
+                    reference.feed(*e);
+                }
+            }
+            if times == 60 {
+                assert!(
+                    repeated.extrapolated_cycles > 0,
+                    "the loop must reach a steady state"
+                );
+            }
+            let repeated = repeated.finish();
+            assert_eq!(repeated, fed.finish(), "x{times}");
+            assert_eq!(repeated, reference.finish(), "x{times}");
+        }
+    }
+
+    #[test]
+    fn feeding_after_an_extrapolated_replay_stays_exact() {
+        // The renamer skips ahead over the extrapolated copies, so entries
+        // fed afterwards still find their producers.
+        let body = loop_body();
+        let tail = vec![
+            entry(add(5, 10, 3), 1),
+            entry_at(load(6, 5), 1, MemAccess::unit(0x1000, 8, false)),
+            entry(add(7, 6, 4), 1),
+        ];
+        let configs: Vec<PipelineConfig> = [1, 2, 4, 8]
+            .into_iter()
+            .flat_map(|w| {
+                [MemoryModel::PERFECT, MemoryModel::CACHE]
+                    .map(|memory| PipelineConfig::way_with_memory(w, memory))
+            })
+            .collect();
+        let mut fanout = PipelineFanout::new(configs.iter().cloned());
+        body.replay_into(40, &mut fanout);
+        for e in &tail {
+            fanout.feed(*e);
+        }
+        let fanned = fanout.finish();
+        for (config, fanned) in configs.iter().zip(fanned) {
+            let mut repeated = PipelineSim::new(config.clone());
+            body.replay_into(40, &mut repeated);
+            let mut fed = PipelineSim::new(config.clone());
+            for _ in 0..40 {
+                for e in body.iter() {
+                    fed.feed(*e);
+                }
+            }
+            for e in &tail {
+                repeated.feed(*e);
+                fed.feed(*e);
+            }
+            let expected = fed.finish();
+            assert_eq!(
+                repeated.finish(),
+                expected,
+                "standalone {}-way {}",
+                config.width,
+                config.memory
+            );
+            assert_eq!(
+                fanned, expected,
+                "fan-out {}-way {}",
+                config.width, config.memory
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use mom_arch::{MemAccess, Trace, TraceEntry};
 use mom_isa::prelude::*;
 use mom_isa::Instruction;
 use mom_pipeline::{
-    MemoryModel, PipelineConfig, PipelineFanout, PipelineSim, ReferenceSim, SimResult,
+    CacheSim, MemoryModel, PipelineConfig, PipelineFanout, PipelineSim, ReferenceSim, SimResult,
 };
 use proptest::prelude::*;
 
@@ -219,6 +219,55 @@ proptest! {
                 config.rob_size,
                 config.memory
             );
+        }
+    }
+
+    /// Steady-state extrapolation: timing `times` copies of a random loop
+    /// body through `retire_repeated` — which stops simulating once the
+    /// machine state repeats and extrapolates the rest — gives the same
+    /// result *and* the same final cache contents as feeding every copy
+    /// entry by entry and as the naive reference engine, for 1–64 copies,
+    /// fixed and hierarchy memory, on a cold cache or resumed on a warm one
+    /// (an application phase boundary).  The fan-out, which decodes the
+    /// body once for all consumers, must agree too.
+    #[test]
+    fn retire_repeated_equals_feeding_and_reference(
+        body in random_trace(24),
+        warm_up in random_trace(24),
+        times in 1usize..=64,
+        width in prop::sample::select(vec![1usize, 2, 4, 8]),
+        memory in memory_models(),
+        resume_warm in any::<bool>(),
+    ) {
+        let config = PipelineConfig::way_with_memory(width, memory);
+        let warm: Option<CacheSim> = if resume_warm {
+            let mut donor = PipelineSim::new(config.clone());
+            warm_up.replay_into(1, &mut donor);
+            donor.into_parts().1
+        } else {
+            None
+        };
+        let mut repeated = PipelineSim::resume(config.clone(), warm.clone());
+        body.replay_into(times, &mut repeated);
+        let mut fed = PipelineSim::resume(config.clone(), warm.clone());
+        let mut reference = ReferenceSim::resume(config.clone(), warm.clone());
+        for _ in 0..times {
+            for e in body.iter() {
+                fed.feed(*e);
+                reference.feed(*e);
+            }
+        }
+        let (result, cache) = repeated.into_parts();
+        let (fed_result, fed_cache) = fed.into_parts();
+        let (reference_result, reference_cache) = reference.into_parts();
+        prop_assert_eq!(&result, &fed_result, "x{} width {} memory {}", times, width, memory);
+        prop_assert_eq!(&result, &reference_result, "x{} width {} memory {}", times, width, memory);
+        prop_assert_eq!(&cache, &fed_cache);
+        prop_assert_eq!(&cache, &reference_cache);
+        if warm.is_none() {
+            let mut fanout = PipelineFanout::new([config]);
+            body.replay_into(times, &mut fanout);
+            prop_assert_eq!(&fanout.finish()[0], &fed_result);
         }
     }
 }

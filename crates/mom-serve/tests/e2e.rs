@@ -79,6 +79,19 @@ fn daemon_round_trip_dedup_and_shutdown() {
     assert_eq!(status, 400, "unknown experiments are rejected: {doc}");
     let (status, _) = post(&addr, "/jobs", "not json {{{");
     assert_eq!(status, 400);
+    let (status, doc) = post(
+        &addr,
+        "/jobs",
+        "{\"kernels\": \"addblock\", \"isas\": \"mom\", \"widths\": [4, 4]}",
+    );
+    assert_eq!(
+        status, 400,
+        "duplicate machine configurations are rejected: {doc}"
+    );
+    assert!(
+        doc.to_string().contains("duplicate machine configuration"),
+        "the error names the duplicate: {doc}"
+    );
 
     // --- Submit fig4 over HTTP and wait for it. ---
     let fig4 = mom_bench::find_experiment("fig4").expect("registered");

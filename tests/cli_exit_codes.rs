@@ -29,6 +29,27 @@ fn usage_errors_exit_2() {
         "the error lists the valid kernels: {stderr}"
     );
 
+    let out = momsim(&[
+        "--cold",
+        "run",
+        "--kernels",
+        "addblock",
+        "--isas",
+        "mom",
+        "--widths",
+        "4,4",
+    ]);
+    assert_eq!(
+        code(&out),
+        2,
+        "a repeated machine configuration is a usage error"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("duplicate machine configuration"),
+        "the error names the duplicate: {stderr}"
+    );
+
     let out = momsim(&["serve", "--workers", "0"]);
     assert_eq!(code(&out), 2, "a zero-sized worker pool is a usage error");
 

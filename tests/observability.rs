@@ -1,8 +1,9 @@
 //! Observability must be free: with span tracing enabled, a warm sweep
-//! still performs **zero** functional executions and **zero** timing
-//! simulations and emits byte-identical report documents — and the
-//! Chrome trace export is well-formed JSON the workspace's own parser
-//! accepts, with the expected event shape.
+//! still performs **zero** functional executions, **zero** timing
+//! simulations and **zero** steady-state extrapolations and emits
+//! byte-identical report documents — and the Chrome trace export is
+//! well-formed JSON the workspace's own parser accepts, with the expected
+//! event shape.
 //!
 //! The store is pointed at a private temp directory before anything
 //! touches the process-global instance.
@@ -41,7 +42,13 @@ fn tracing_is_neutral_and_the_chrome_export_is_well_formed() {
     store.clear().expect("start from a cold store");
 
     // --- Cold sweep with tracing off: fills the store. ---
+    let extrapolated_before = momsim::pipeline::invocations_extrapolated();
     let cold = rendered_sweep();
+    let extrapolated = momsim::pipeline::invocations_extrapolated();
+    assert!(
+        extrapolated > extrapolated_before,
+        "a cold sweep times its replicated invocations by steady-state extrapolation"
+    );
 
     // --- Warm sweep with tracing on: still zero recomputation, same bytes. ---
     momsim::obs::enable_tracing();
@@ -57,6 +64,11 @@ fn tracing_is_neutral_and_the_chrome_export_is_well_formed() {
         momsim::pipeline::timing_simulations(),
         timing_before,
         "a traced warm sweep must not run any timing simulation"
+    );
+    assert_eq!(
+        momsim::pipeline::invocations_extrapolated(),
+        extrapolated,
+        "a warm sweep extrapolates nothing either"
     );
     assert_eq!(cold, warm, "tracing must not change a single report byte");
     assert!(
